@@ -1,9 +1,10 @@
 #include "core/dse_session.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "model/dsp_model.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 
@@ -152,31 +153,44 @@ dspLadder(const std::vector<int64_t> &dsp_budgets, double frequency_mhz,
 std::vector<int64_t>
 parseDspLadderSpec(const std::string &spec)
 {
+    constexpr int64_t kMaxDsp = std::numeric_limits<int64_t>::max();
     std::vector<int64_t> budgets;
     if (spec.find(':') != std::string::npos) {
         auto parts = util::split(spec, ':');
         if (parts.size() != 3)
             util::fatal("DSP ladder range wants LO:HI:STEP, got '%s'",
                         spec.c_str());
-        int64_t lo = std::atoll(parts[0].c_str());
-        int64_t hi = std::atoll(parts[1].c_str());
-        int64_t step = std::atoll(parts[2].c_str());
-        if (lo <= 0 || hi < lo || step <= 0)
-            util::fatal("DSP ladder range '%s': need 0 < LO <= HI and "
-                        "STEP > 0", spec.c_str());
-        for (int64_t dsp = lo; dsp <= hi; dsp += step)
-            budgets.push_back(dsp);
+        int64_t lo = util::parseIntFlag("DSP ladder LO", parts[0], 1,
+                                        kMaxDsp);
+        int64_t hi = util::parseIntFlag("DSP ladder HI", parts[1], lo,
+                                        kMaxDsp);
+        int64_t step = util::parseIntFlag("DSP ladder STEP", parts[2], 1,
+                                          kMaxDsp);
+        // hi - lo cannot overflow (both positive), and counting the
+        // rungs first keeps the loop below from stepping past
+        // INT64_MAX.
+        uint64_t rungs = static_cast<uint64_t>(hi - lo) /
+                             static_cast<uint64_t>(step) +
+                         1;
+        if (rungs > kMaxDspLadderRungs)
+            util::fatal("DSP ladder range '%s' has %llu rungs (at most "
+                        "%zu)",
+                        spec.c_str(),
+                        static_cast<unsigned long long>(rungs),
+                        kMaxDspLadderRungs);
+        budgets.reserve(static_cast<size_t>(rungs));
+        for (uint64_t r = 0; r < rungs; ++r)
+            budgets.push_back(lo + static_cast<int64_t>(r) * step);
         return budgets;
     }
-    for (const std::string &item : util::split(spec, ',')) {
-        int64_t dsp = std::atoll(item.c_str());
-        if (dsp <= 0)
-            util::fatal("DSP ladder list: bad DSP count '%s'",
-                        item.c_str());
-        budgets.push_back(dsp);
-    }
+    for (const std::string &item : util::split(spec, ','))
+        budgets.push_back(
+            util::parseIntFlag("DSP ladder list", item, 1, kMaxDsp));
     if (budgets.empty())
         util::fatal("DSP ladder list '%s' is empty", spec.c_str());
+    if (budgets.size() > kMaxDspLadderRungs)
+        util::fatal("DSP ladder list has %zu rungs (at most %zu)",
+                    budgets.size(), kMaxDspLadderRungs);
     return budgets;
 }
 

@@ -189,10 +189,16 @@ std::vector<fpga::ResourceBudget> dspLadder(
     double dsp_per_bram = 1.3,
     const fpga::ResourceBudget *base = nullptr);
 
+/** Most rungs a DSP ladder spec may expand to; each rung is a full
+ * optimization, so a longer ladder is a typo, not a sweep. */
+constexpr size_t kMaxDspLadderRungs = 10000;
+
 /**
  * Parse a DSP ladder spec for the CLI front ends: either an explicit
  * list "a,b,c" or an arithmetic range "lo:hi:step" (inclusive ends).
- * fatal() on malformed input.
+ * Every number must be a whole positive decimal integer ("100x" and
+ * "1e3" are errors); fatal() on malformed input and on ladders of more
+ * than kMaxDspLadderRungs rungs.
  */
 std::vector<int64_t> parseDspLadderSpec(const std::string &spec);
 

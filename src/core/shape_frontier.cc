@@ -63,7 +63,8 @@ ShapeFrontier::Builder::setUnitsCap(int64_t cap)
 {
     if (!layers_.empty())
         util::panic("ShapeFrontier::Builder: units cap must be set "
-                    "before the first layer");
+                    "before the first layer (growUnitsCap() raises "
+                    "it later)");
     unitsCap_ = cap < 1 ? 1 : cap;
 }
 
@@ -190,14 +191,14 @@ constexpr int64_t kDenseUnitsLimit = 1 << 16;
 
 } // namespace
 
-void
-ShapeFrontier::Builder::recomputeLiveGeometry()
+size_t
+ShapeFrontier::Builder::computeLiveWidths(int64_t &max_units)
 {
     size_t t = tnBps_.size();
     size_t w = tmBps_.size();
     liveW_.resize(t);
     size_t total = 0;
-    int64_t max_units = 0;
+    max_units = 0;
     // cap/tn only shrinks as tn grows, so the live width is
     // nonincreasing: one descending cursor maps every row without a
     // per-row binary search.
@@ -218,11 +219,20 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
         if (lw > 0)
             max_units = std::max(max_units, tn * tmBps_[lw - 1]);
     }
+    return total;
+}
+
+void
+ShapeFrontier::Builder::recomputeLiveGeometry()
+{
+    int64_t max_units = 0;
+    size_t total = computeLiveWidths(max_units);
     // Both indices in 16 bits covers any real geometry (65536 merged
     // breakpoints per dimension needs channel counts near 2^31); the
     // hot passes are bandwidth-bound, so half-width indices are a
     // direct win. The int32 pair lanes remain as the fallback.
-    livePacked_ = t <= (1u << 16) && w <= (1u << 16);
+    livePacked_ =
+        tnBps_.size() <= (1u << 16) && tmBps_.size() <= (1u << 16);
     if (livePacked_) {
         livePk_.resize(total);
         liveTi_.clear();
@@ -232,11 +242,21 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
         liveMi_.resize(total);
         livePk_.clear();
     }
+    placeCells(0, nullptr, 0, max_units);
+}
+
+void
+ShapeFrontier::Builder::placeCells(size_t from, const size_t *first_col,
+                                   int64_t min_units, int64_t max_units)
+{
+    size_t t = tnBps_.size();
+    size_t w = tmBps_.size();
+    size_t total = liveCount() - from;
     if (total == 0)
         return;
-    uint32_t *pk = livePk_.data();
-    int32_t *ti_lane = liveTi_.data();
-    int32_t *mi_lane = liveMi_.data();
+    uint32_t *pk = livePk_.data() + from;
+    int32_t *ti_lane = liveTi_.data() + from;
+    int32_t *mi_lane = liveMi_.data() + from;
     auto place = [&](size_t pos, size_t ti, size_t mi) {
         if (livePacked_) {
             pk[pos] = static_cast<uint32_t>((ti << 16) | mi);
@@ -245,19 +265,21 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
             mi_lane[pos] = static_cast<int32_t>(mi);
         }
     };
+    auto first = [&](size_t ti) { return first_col ? first_col[ti] : 0; };
 
-    if (max_units <= kDenseUnitsLimit) {
+    if (max_units - min_units <= kDenseUnitsLimit) {
         // Stable counting sort: count per unit value, prefix-sum into
         // start offsets, then place cells in discovery order (ti, then
         // mi) — which is exactly the tie-break order build() wants
         // within an equal-units group.
-        size_t slots = static_cast<size_t>(max_units) + 1;
+        size_t slots = static_cast<size_t>(max_units - min_units) + 1;
         countScratch_.assign(slots, 0);
         for (size_t ti = 0; ti < t; ++ti) {
             int64_t tn = tnBps_[ti];
             size_t lw = liveW_[ti];
-            for (size_t mi = 0; mi < lw; ++mi)
-                ++countScratch_[static_cast<size_t>(tn * tmBps_[mi])];
+            for (size_t mi = first(ti); mi < lw; ++mi)
+                ++countScratch_[static_cast<size_t>(tn * tmBps_[mi] -
+                                                    min_units)];
         }
         int32_t acc = 0;
         for (size_t u = 0; u < slots; ++u) {
@@ -268,8 +290,8 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
         for (size_t ti = 0; ti < t; ++ti) {
             int64_t tn = tnBps_[ti];
             size_t lw = liveW_[ti];
-            for (size_t mi = 0; mi < lw; ++mi) {
-                int64_t u = tn * tmBps_[mi];
+            for (size_t mi = first(ti); mi < lw; ++mi) {
+                int64_t u = tn * tmBps_[mi] - min_units;
                 size_t pos = static_cast<size_t>(
                     countScratch_[static_cast<size_t>(u)]++);
                 place(pos, ti, mi);
@@ -285,7 +307,7 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
     for (size_t ti = 0; ti < t; ++ti) {
         int64_t tn = tnBps_[ti];
         size_t lw = liveW_[ti];
-        for (size_t mi = 0; mi < lw; ++mi)
+        for (size_t mi = first(ti); mi < lw; ++mi)
             sortScratch_.emplace_back(tn * tmBps_[mi],
                                       static_cast<int32_t>(ti * w + mi));
     }
@@ -298,6 +320,66 @@ ShapeFrontier::Builder::recomputeLiveGeometry()
         size_t off = static_cast<size_t>(sortScratch_[p].second);
         place(p, off / w, off % w);
     }
+}
+
+void
+ShapeFrontier::Builder::growUnitsCap(
+    int64_t cap, BreakpointCache &scratch,
+    const std::function<void(size_t)> &on_layer)
+{
+    if (cap <= unitsCap_)
+        util::panic("ShapeFrontier::Builder: units cap %lld does not "
+                    "raise the current cap %lld",
+                    static_cast<long long>(cap),
+                    static_cast<long long>(unitsCap_));
+    if (!geomInit_) {
+        unitsCap_ = cap;  // no cells yet: the first layer sizes them
+        return;
+    }
+    // The last layer's staged update covers the old cells only; it
+    // must land before the geometry grows.
+    flushPending();
+
+    // The breakpoint lists stay as they are, so every old cell keeps
+    // its row, column and value; a row's new cells are the columns
+    // between its old and its new live width.
+    int64_t old_cap = unitsCap_;
+    size_t from = liveCount();
+    rowScratch_.assign(liveW_.begin(), liveW_.end());
+    unitsCap_ = cap;
+    int64_t max_units = 0;
+    size_t total = computeLiveWidths(max_units);
+    if (livePacked_) {
+        livePk_.resize(total);
+    } else {
+        liveTi_.resize(total);
+        liveMi_.resize(total);
+    }
+    placeCells(from, rowScratch_.data(), old_cap + 1, max_units);
+    live_.resize(total, 0);
+
+    // Replay every layer over the new cells only.
+    growFrom_ = from;
+    growing_ = true;
+    for (size_t k = 0; k < layers_.size(); ++k) {
+        const nn::ConvLayer &layer = *layers_[k];
+        stageLayer(layer, scratch.table(layer.groupN()),
+                   scratch.table(layer.groupM()));
+        applyStaged(from);
+        if (on_layer)
+            on_layer(k);
+    }
+    growing_ = false;
+}
+
+ShapeFrontier
+ShapeFrontier::Builder::extendFrontier(const ShapeFrontier &base,
+                                       fpga::DataType type)
+{
+    if (!growing_)
+        util::panic("ShapeFrontier::Builder: extendFrontier() outside a "
+                    "cap growth");
+    return walk(type, unitsCap_, growFrom_, &base);
 }
 
 void
@@ -355,11 +437,21 @@ ShapeFrontier::Builder::addLayer(const nn::ConvLayer &layer,
         geomInit_ = true;
     }
 
-    // Stage the rank-1 update cycles(tn, tm) += G*R*C*K^2 *
+    // The live values are untouched until flushPending() or a fused
+    // build() applies the staged update.
+    stageLayer(layer, ntab, mtab);
+    pending_ = true;
+}
+
+void
+ShapeFrontier::Builder::stageLayer(const nn::ConvLayer &layer,
+                                   const BreakpointCache::Table &ntab,
+                                   const BreakpointCache::Table &mtab)
+{
+    // The rank-1 update cycles(tn, tm) += G*R*C*K^2 *
     // ceil((N/G)/tn) * ceil((M/G)/tm): per-column M ceilings and
     // per-row areas come from the layer's own tables with moving
-    // cursors — no divisions. The live values are untouched until
-    // flushPending() or a fused build() applies the staged update.
+    // cursors — no divisions.
     size_t w = tmBps_.size();
     scratch_.resize(w);
     for (size_t mi = 0, k = 0; mi < w; ++mi) {
@@ -377,7 +469,6 @@ ShapeFrontier::Builder::addLayer(const nn::ConvLayer &layer,
             ++k;
         areas_[ti] = rck2 * ntab.ceils[k];
     }
-    pending_ = true;
 }
 
 void
@@ -386,24 +477,31 @@ ShapeFrontier::Builder::flushPending()
     if (!pending_)
         return;
     pending_ = false;
+    // The staged arrays are indexed in the current geometry:
+    // addLayer() flushes before any breakpoint merge, so a staged
+    // update never crosses a remap.
+    applyStaged(0);
+}
+
+void
+ShapeFrontier::Builder::applyStaged(size_t from)
+{
     // Same per-cell update a fused build() performs, minus the
-    // staircase test. The staged arrays are indexed in the current
-    // geometry: addLayer() flushes before any breakpoint merge, so a
-    // staged update never crosses a remap.
+    // staircase test.
     int64_t *vals = live_.data();
     const int64_t *areas = areas_.data();
     const int64_t *mceil = scratch_.data();
     size_t n_live = live_.size();
     if (livePacked_) {
         const uint32_t *pk = livePk_.data();
-        for (size_t k = 0; k < n_live; ++k) {
+        for (size_t k = from; k < n_live; ++k) {
             uint32_t p = pk[k];
             vals[k] += areas[p >> 16] * mceil[p & 0xFFFFu];
         }
     } else {
         const int32_t *ti_arr = liveTi_.data();
         const int32_t *mi_arr = liveMi_.data();
-        for (size_t k = 0; k < n_live; ++k)
+        for (size_t k = from; k < n_live; ++k)
             vals[k] += areas[ti_arr[k]] * mceil[mi_arr[k]];
     }
 }
@@ -422,15 +520,24 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
                     static_cast<long long>(unitsCap_));
     if (units_budget < 1)
         return frontier;  // not a single MAC unit
+    return walk(type, units_budget, 0, nullptr);
+}
 
+ShapeFrontier
+ShapeFrontier::Builder::walk(fpga::DataType type, int64_t units_budget,
+                             size_t from, const ShapeFrontier *base)
+{
     int64_t per_mac = fpga::dspPerMac(type);
-    // At most one staircase point per live cell: grow-only sizing lets
-    // the walk emit through raw pointers with no growth checks.
-    if (outDsp_.size() < live_.size()) {
-        outTn_.resize(live_.size());
-        outTm_.resize(live_.size());
-        outDsp_.resize(live_.size());
-        outCycles_.resize(live_.size());
+    size_t seeded = base ? base->size() : 0;
+    // At most one staircase point per walked cell: grow-only sizing
+    // lets the walk emit through raw pointers with no growth checks.
+    // The seed's points are copied once, straight into the result.
+    size_t most = live_.size() - from;
+    if (outDsp_.size() < most) {
+        outTn_.resize(most);
+        outTm_.resize(most);
+        outDsp_.resize(most);
+        outCycles_.resize(most);
     }
     int32_t *out_tn = outTn_.data();
     int32_t *out_tm = outTm_.data();
@@ -452,9 +559,10 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
     // UINT64_MAX folds "first emission" into the same compare (cycle
     // counts are positive). A budget below the cap is a prefix of the
     // walk — units ascend, so the first over-budget improvement ends
-    // it.
+    // it. A seeded walk starts from the seed's running minimum; the
+    // seed's points all have fewer units than any walked cell.
     size_t n_live = live_.size();
-    int64_t best_cycles = -1;
+    int64_t best_cycles = seeded > 0 ? base->cycles_[seeded - 1] : -1;
     auto improve = [&](size_t ti, size_t mi, int64_t cycles) {
         int64_t tn = tnBps_[ti];
         int64_t tm = tmBps_[mi];
@@ -483,7 +591,7 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
     };
     // The walk body is generic over the index encoding (packed 16-bit
     // halves or int32 pair lanes); both instantiations inline.
-    auto walk = [&](auto cell) {
+    auto scan = [&](auto cell) {
         if (pending_) {
             // The newest layer's staged rank-1 update rides the walk:
             // one streaming pass updates each live value and tests
@@ -492,7 +600,7 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
             int64_t *vals = live_.data();
             const int64_t *areas = areas_.data();
             const int64_t *mceil = scratch_.data();
-            for (size_t k = 0; k < n_live; ++k) {
+            for (size_t k = from; k < n_live; ++k) {
                 auto [ti, mi] = cell(k);
                 int64_t cycles = vals[k] + areas[ti] * mceil[mi];
                 vals[k] = cycles;
@@ -502,7 +610,7 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
             }
         } else {
             const int64_t *vals = live_.data();
-            for (size_t k = 0; k < n_live; ++k) {
+            for (size_t k = from; k < n_live; ++k) {
                 int64_t cycles = vals[k];
                 if (static_cast<uint64_t>(cycles) <
                     static_cast<uint64_t>(best_cycles)) [[unlikely]] {
@@ -514,20 +622,33 @@ ShapeFrontier::Builder::build(fpga::DataType type, int64_t units_budget)
     };
     if (livePacked_) {
         const uint32_t *pk = livePk_.data();
-        walk([pk](size_t k) {
+        scan([pk](size_t k) {
             uint32_t p = pk[k];
             return std::pair<size_t, size_t>(p >> 16, p & 0xFFFFu);
         });
     } else {
         const int32_t *ti_arr = liveTi_.data();
         const int32_t *mi_arr = liveMi_.data();
-        walk([ti_arr, mi_arr](size_t k) {
+        scan([ti_arr, mi_arr](size_t k) {
             return std::pair<size_t, size_t>(
                 static_cast<size_t>(ti_arr[k]),
                 static_cast<size_t>(mi_arr[k]));
         });
     }
-    frontier.adopt(out_tn, out_tm, out_dsp, out_cycles, out_count);
+    ShapeFrontier frontier;
+    frontier.allocate(seeded + out_count);
+    auto join = [&](auto *dst, const auto *head, const auto *tail) {
+        if (seeded > 0)
+            std::memcpy(dst, head, seeded * sizeof(*dst));
+        if (out_count > 0)
+            std::memcpy(dst + seeded, tail, out_count * sizeof(*dst));
+    };
+    if (frontier.size_ > 0) {
+        join(frontier.tn_, base ? base->tn_ : nullptr, out_tn);
+        join(frontier.tm_, base ? base->tm_ : nullptr, out_tm);
+        join(frontier.dsp_, base ? base->dsp_ : nullptr, out_dsp);
+        join(frontier.cycles_, base ? base->cycles_ : nullptr, out_cycles);
+    }
     return frontier;
 }
 
@@ -546,9 +667,7 @@ ShapeFrontier::ShapeFrontier(
 }
 
 void
-ShapeFrontier::adopt(const int32_t *tn, const int32_t *tm,
-                     const int64_t *dsp, const int64_t *cycles,
-                     size_t count)
+ShapeFrontier::allocate(size_t count)
 {
     size_ = count;
     if (count == 0) {
@@ -565,6 +684,16 @@ ShapeFrontier::adopt(const int32_t *tn, const int32_t *tm,
     cycles_ = dsp_ + count;
     tn_ = reinterpret_cast<int32_t *>(cycles_ + count);
     tm_ = tn_ + count;
+}
+
+void
+ShapeFrontier::adopt(const int32_t *tn, const int32_t *tm,
+                     const int64_t *dsp, const int64_t *cycles,
+                     size_t count)
+{
+    allocate(count);
+    if (count == 0)
+        return;
     std::memcpy(dsp_, dsp, count * sizeof(int64_t));
     std::memcpy(cycles_, cycles, count * sizeof(int64_t));
     std::memcpy(tn_, tn, count * sizeof(int32_t));
@@ -822,6 +951,19 @@ FrontierTable::rangeKey(size_t i, size_t j, int64_t units_cap) const
     return key;
 }
 
+template <typename Make>
+std::shared_ptr<const ShapeFrontier>
+FrontierTable::storedOrMake(size_t i, size_t j, int64_t units_cap,
+                            Make &&make)
+{
+    if (!store_)
+        return std::make_shared<const ShapeFrontier>(make());
+    std::vector<int64_t> key = rangeKey(i, j, units_cap);
+    if (std::shared_ptr<const ShapeFrontier> frontier = store_->lookup(key))
+        return frontier;
+    return store_->insert(key, make());
+}
+
 void
 FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
                                int64_t cycle_target)
@@ -831,19 +973,26 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
     int64_t needed = model::macBudget(dsp_budget, type_);
     if (row.builtUnits < needed) {
         // Built under a smaller cap than this budget can afford: the
-        // stored staircases may miss now-affordable shapes. Rebuild
-        // the row at the table cap (>= needed, since callers reserve
-        // before querying). Only this row pays; others rebuild when
-        // (and if) a big-budget query reaches them.
-        row.builder.reset();
-        row.builderLayers = 0;
-        row.frontiers.clear();
-        row.exhausted = false;
-        row.builtUnits = std::max(buildUnits_.load(), needed);
-        // Every build of this row uses exactly builtUnits, so the
-        // builder can skip maintaining cells beyond it (most of the
-        // grid under a real budget).
-        row.builder.setUnitsCap(row.builtUnits);
+        // stored staircases may miss now-affordable shapes. Raise the
+        // row to the table cap (>= needed, since callers reserve
+        // before querying). Only this row pays; others grow when (and
+        // if) a big-budget query reaches them.
+        int64_t cap = std::max(buildUnits_.load(), needed);
+        if (row.builderLayers > 0 && row.builtUnits >= 1) {
+            growRowLocked(i, cap);
+        } else {
+            // Nothing to grow from (every range came from the store,
+            // or the old cap afforded no MAC at all): start over.
+            row.builder.reset();
+            row.builderLayers = 0;
+            row.frontiers.clear();
+            row.exhausted = false;
+            row.builtUnits = cap;
+            // Every build of this row uses exactly builtUnits, so the
+            // builder can skip maintaining cells beyond it (most of
+            // the grid under a real budget).
+            row.builder.setUnitsCap(row.builtUnits);
+        }
     }
     if (row.exhausted)
         return;
@@ -862,23 +1011,13 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
         // Bring the incremental builder up to [i..j], unless the row
         // store already has this range (then the grid work waits until
         // a miss actually needs it).
-        std::shared_ptr<const ShapeFrontier> frontier;
-        if (store_)
-            frontier = store_->lookup(rangeKey(i, j, row.builtUnits));
-        if (!frontier) {
+        row.frontiers.push_back(storedOrMake(i, j, row.builtUnits, [&] {
             for (size_t p = i + row.builderLayers; p <= j; ++p)
                 row.builder.addLayer(network_.layer(order_[p]),
                                      breakpoints_);
             row.builderLayers = j - i + 1;
-            ShapeFrontier built =
-                row.builder.build(type_, row.builtUnits);
-            frontier = store_ ? store_->insert(
-                                    rangeKey(i, j, row.builtUnits),
-                                    std::move(built))
-                              : std::make_shared<const ShapeFrontier>(
-                                    std::move(built));
-        }
-        row.frontiers.push_back(std::move(frontier));
+            return row.builder.build(type_, row.builtUnits);
+        }));
         if (row.frontiers.back()->empty()) {
             // No affordable shape at any target (sub-MAC cap only);
             // extensions only add cycles, so this row is finished.
@@ -893,9 +1032,39 @@ FrontierTable::extendRowLocked(size_t i, int64_t dsp_budget,
 }
 
 void
+FrontierTable::growRowLocked(size_t i, int64_t units_cap)
+{
+    Row &row = rows_[i];
+    size_t count = order_.size();
+    bool contiguous = usable(i, i);
+    // The builder holds layers [i..i+builderLayers-1], so it can grow
+    // every range up to there. Later ranges were store hits it never
+    // reached; the extension loop fetches or builds them again at the
+    // new cap.
+    size_t keep = contiguous
+                      ? std::min(row.frontiers.size(), row.builderLayers)
+                      : row.frontiers.size();
+    row.frontiers.resize(keep);
+    row.builder.growUnitsCap(units_cap, breakpoints_, [&](size_t layer) {
+        size_t j = i + layer;
+        size_t slot = contiguous ? layer : 0;
+        if (slot >= keep || (!contiguous && j != count - 1))
+            return;
+        row.frontiers[slot] = storedOrMake(i, j, units_cap, [&] {
+            return row.builder.extendFrontier(*row.frontiers[slot], type_);
+        });
+    });
+    row.builtUnits = units_cap;
+    // The same exhaustion rules the extension loop applies after a
+    // push; the non-contiguous one it rechecks on its own.
+    size_t last = contiguous ? i + keep - 1 : count - 1;
+    row.exhausted = row.frontiers.back()->empty() || last + 1 >= count;
+}
+
+void
 FrontierTable::reserveUnits(int64_t units_cap)
 {
-    // Grow-only watermark; rows rebuild lazily when a query needs more
+    // Grow-only watermark; rows grow lazily when a query needs more
     // units than they were built under (see extendRowLocked()).
     int64_t cur = buildUnits_.load();
     while (units_cap > cur &&
@@ -945,7 +1114,8 @@ FrontierTable::choose(size_t i, size_t j, int64_t dsp_budget,
         if (idx >= row.frontiers.size() ||
             row.builtUnits < model::macBudget(dsp_budget, type_)) {
             // Not built far enough for this (budget, target) — a
-            // concurrent rebuild, a bigger budget, or a prepare() that
+            // concurrent growth (which drops the ranges its builder
+            // never reached), a bigger budget, or a prepare() that
             // stopped earlier. Extend in place; if the row still ends
             // short, some prefix range already misses the target under
             // this budget, and extensions only add cycles, so [i..j]
@@ -958,6 +1128,19 @@ FrontierTable::choose(size_t i, size_t j, int64_t dsp_budget,
     }
     // The frontier itself is immutable; query outside the row lock.
     return frontier->query(cycle_target, dsp_budget);
+}
+
+std::pair<std::shared_ptr<const ShapeFrontier>, int64_t>
+FrontierTable::stored(size_t i, size_t j) const
+{
+    if (!usable(i, j))
+        return {nullptr, 0};
+    size_t idx = usable(i, i) ? j - i : 0;
+    std::lock_guard<std::mutex> lock(rowLocks_[i]);
+    const Row &row = rows_[i];
+    if (idx >= row.frontiers.size())
+        return {nullptr, 0};
+    return {row.frontiers[idx], row.builtUnits};
 }
 
 size_t

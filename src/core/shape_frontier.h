@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -241,6 +242,10 @@ class ShapeFrontier
 
     ShapeFrontier() = default;
 
+    /** Point the four lanes at one exact-size arena block of
+     * @p count points (contents unset). */
+    void allocate(size_t count);
+
     /** Copy the four lanes into one exact-size arena block. */
     void adopt(const int32_t *tn, const int32_t *tm, const int64_t *dsp,
                const int64_t *cycles, size_t count);
@@ -283,10 +288,36 @@ class ShapeFrontier::Builder
      * bounds its sweep by the budget — so the rank-1 updates and grid
      * expansions skip them entirely; on a budget-capped grid that is
      * most of the area (the live region is hyperbolic). Set it after
-     * reset() and before the first addLayer(); build() refuses larger
-     * budgets. Default: unbounded (every cell maintained).
+     * reset() and before the first addLayer() (raise it later with
+     * growUnitsCap()); build() refuses larger budgets. Default:
+     * unbounded (every cell maintained).
      */
     void setUnitsCap(int64_t cap);
+
+    /**
+     * Raise the units cap of a builder that may already hold layers,
+     * in place: only the newly affordable cells (old cap < tn*tm <=
+     * @p cap) of the current breakpoint grid are computed. They sort
+     * after every old cell (more units), so they are appended to the
+     * units-ascending live order in the order a fresh geometry would
+     * give them, and their cycle sums come from replaying the added
+     * layers over those cells alone. After layer k (0-based) of the
+     * replay the new cells hold the sums of layers [0..k], and
+     * @p on_layer(k) runs — where extendFrontier() grows that prefix's
+     * staircase. A cap at or under the current one is an error.
+     */
+    void growUnitsCap(int64_t cap, BreakpointCache &scratch,
+                      const std::function<void(size_t)> &on_layer = {});
+
+    /**
+     * Only inside growUnitsCap()'s callback for layer k: @p base (the
+     * frontier of layers [0..k] built under the old cap) followed by
+     * the strict running-minimum improvements among the new cells.
+     * Every new cell has more units than any old one, so this equals
+     * build(type, cap) over layers [0..k] — point for point.
+     */
+    ShapeFrontier extendFrontier(const ShapeFrontier &base,
+                                 fpga::DataType type);
 
     /**
      * Pre-merge the breakpoints of a dimension pair the run may reach,
@@ -336,6 +367,40 @@ class ShapeFrontier::Builder
      * out of the hot path.
      */
     void recomputeLiveGeometry();
+
+    /** Per-row live widths under unitsCap_ into liveW_; returns the
+     * live-cell count and the largest live unit count. */
+    size_t computeLiveWidths(int64_t &max_units);
+
+    /**
+     * Write the index lanes at positions [@p from, liveCount()) with
+     * the cells (ti, mi), mi in [first_col[ti], liveW_[ti]) — first
+     * column 0 when @p first_col is null — units-ascending, ties in
+     * discovery order (ti, then mi). Their units lie in
+     * [@p min_units, @p max_units].
+     */
+    void placeCells(size_t from, const size_t *first_col,
+                    int64_t min_units, int64_t max_units);
+
+    /** Stage @p layer's rank-1 update (per-column M ceilings into
+     * scratch_, per-row areas into areas_) over the current
+     * geometry. */
+    void stageLayer(const nn::ConvLayer &layer,
+                    const BreakpointCache::Table &ntab,
+                    const BreakpointCache::Table &mtab);
+
+    /**
+     * The staircase walk shared by build() and extendFrontier(): the
+     * points of @p base (may be null), then every strict running-
+     * minimum improvement among live cells [@p from, liveCount())
+     * affordable under @p units_budget.
+     */
+    ShapeFrontier walk(fpga::DataType type, int64_t units_budget,
+                       size_t from, const ShapeFrontier *base);
+
+    /** Add the staged rank-1 update to live cells [@p from,
+     * liveCount()). */
+    void applyStaged(size_t from);
 
     /**
      * Apply the deferred rank-1 update of the most recent layer to
@@ -407,6 +472,10 @@ class ShapeFrontier::Builder
     std::vector<int32_t> outTm_;
     std::vector<int64_t> outDsp_;
     std::vector<int64_t> outCycles_;
+    /** First new cell of a cap growth in progress; extendFrontier()
+     * walks from here. Meaningful only while growing_. */
+    size_t growFrom_ = 0;
+    bool growing_ = false;
 };
 
 /**
@@ -493,14 +562,17 @@ class FrontierRowStore
  * asked about (the grow-only units cap): any query at or under a
  * row's build cap reads a prefix of the stored staircase, so answers
  * for every budget of a descending or repeated ladder come from one
- * build, and a budget increase rebuilds only the rows it touches,
- * lazily. A warm DseSession avoids even that by reserving the
+ * build. A budget increase grows only the rows it touches, lazily and
+ * in place: each stored staircase is extended with the newly
+ * affordable cells alone (growRowLocked()), so a session climbing a
+ * ladder one rung per request walks each rung's new cells instead of
+ * rebuilding every range over all of them. A sweep still reserves the
  * ladder's maximum up front (reserveUnits()) before the first run.
  *
  * Locking is per row: every row carries its own mutex, prepare()
  * extends rows independently (optionally fanning over a pool), and
- * choose() self-heals — it extends the row on demand when a
- * concurrent rebuild or a larger budget left a gap — so concurrent
+ * choose() self-heals — it extends or grows the row on demand when a
+ * concurrent prepare() or a larger budget left a gap — so concurrent
  * runs of a budget ladder never serialize on a whole-table lock and
  * still read bit-identical answers. When @p store is given, built
  * rows are shared through it across tables and networks.
@@ -514,10 +586,10 @@ class FrontierTable
 
     /**
      * Grow the units cap to at least @p units_cap. Rows built under a
-     * smaller cap are rebuilt lazily the next time a query needs more
-     * than they stored. A session calls this with the largest budget
-     * of a sweep before the first run, so no mid-sweep rebuild ever
-     * happens.
+     * smaller cap grow in place, lazily, the next time a query needs
+     * more than they stored. A session calls this with the largest
+     * budget of a sweep before the first run, so no row grows
+     * mid-sweep.
      */
     void reserveUnits(int64_t units_cap);
 
@@ -546,6 +618,14 @@ class FrontierTable
                                         int64_t dsp_budget,
                                         int64_t cycle_target);
 
+    /**
+     * The staircase stored for order[i..j] and the units cap it was
+     * built under, or {nullptr, 0} when the row has not reached the
+     * range (tests and debugging; takes the row's lock).
+     */
+    std::pair<std::shared_ptr<const ShapeFrontier>, int64_t>
+    stored(size_t i, size_t j) const;
+
     size_t size() const { return order_.size(); }
     const std::vector<size_t> &order() const { return order_; }
     int maxClps() const { return maxClps_; }
@@ -568,13 +648,30 @@ class FrontierTable
     bool usable(size_t i, size_t j) const;
 
     /**
-     * Under rowLocks_[i]: rebuild the row if its cap is below what
+     * Under rowLocks_[i]: raise the row's cap if it is below what
      * @p dsp_budget needs, then extend it range by range while the
      * stopping rule allows (last range still meets @p cycle_target
      * under @p dsp_budget and a usable extension exists).
      */
     void extendRowLocked(size_t i, int64_t dsp_budget,
                          int64_t cycle_target);
+
+    /**
+     * Under rowLocks_[i]: raise a row whose builder holds layers to
+     * @p units_cap in place. Each range the builder covers is taken
+     * from the store at the new cap, or extended from its old-cap
+     * staircase with the newly affordable cells only
+     * (Builder::growUnitsCap()); later ranges are dropped for the
+     * extension loop to fetch again.
+     */
+    void growRowLocked(size_t i, int64_t units_cap);
+
+    /** The store's row for order[i..j] at @p units_cap when it has
+     * one; otherwise @p make()'s frontier, inserted into the store
+     * when there is a store. */
+    template <typename Make>
+    std::shared_ptr<const ShapeFrontier>
+    storedOrMake(size_t i, size_t j, int64_t units_cap, Make &&make);
 
     /** Store key of order_[i..j] at @p units_cap (dims, type, cap). */
     std::vector<int64_t> rangeKey(size_t i, size_t j,

@@ -67,12 +67,18 @@ ThreadPool::workerLoop(size_t)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        wake_.wait(lock, [this] {
-            return stop_ || stealLocked(nullptr) != nullptr;
+        // Take the job inside the wait: Job::next advances outside the
+        // mutex, so a second stealLocked() after the wait could find
+        // every index claimed and return null.
+        std::shared_ptr<Job> job;
+        wake_.wait(lock, [this, &job] {
+            if (stop_)
+                return true;
+            job = stealLocked(nullptr);
+            return job != nullptr;
         });
         if (stop_)
             return;
-        std::shared_ptr<Job> job = stealLocked(nullptr);
         lock.unlock();
         runJob(*job);
         job.reset();

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/dse_session.h"
@@ -238,6 +240,72 @@ TEST(DseSession, DspLadderScalesBramLikeFigure7)
     EXPECT_EQ(laddered[0].bram18k, base.bram18k);
     EXPECT_EQ(laddered[1].bandwidthBytesPerCycle,
               base.bandwidthBytesPerCycle);
+}
+
+/**
+ * A warm session raised one rung at a time grows its frontier rows in
+ * place; every rung of the Figure-7 ladder must still answer exactly
+ * like a cold run of that budget alone.
+ */
+TEST(DseSession, ClimbingFigure7LadderMatchesColdRuns)
+{
+    const std::vector<int64_t> figure7{100,  250,  500,  750,  1000, 1500,
+                                       2000, 2240, 2500, 2880, 3500};
+    fpga::ResourceBudget base =
+        fpga::standardBudget(fpga::virtex7_690t(), 100.0);
+    struct Case
+    {
+        nn::Network network;
+        fpga::DataType type;
+    };
+    for (const Case &c :
+         {Case{nn::makeGoogLeNet(), fpga::DataType::Fixed16},
+          Case{nn::makeMobileNetV1(), fpga::DataType::Float32}}) {
+        core::DseSession session(c.network, c.type);
+        for (int64_t dsp : figure7) {
+            fpga::ResourceBudget budget =
+                core::dspLadder({dsp}, 100.0, 1.3, &base)[0];
+            auto warm = session.optimize(budget);
+            auto cold = coldRun(c.network, c.type, budget, {});
+            expectSameResult(warm, cold,
+                             c.network.name() + " rung " +
+                                 std::to_string(dsp));
+        }
+    }
+}
+
+TEST(DseSession, DspLadderSpecParsesStrictly)
+{
+    EXPECT_EQ(core::parseDspLadderSpec("100,250,3500"),
+              (std::vector<int64_t>{100, 250, 3500}));
+    EXPECT_EQ(core::parseDspLadderSpec("500:2000:500"),
+              (std::vector<int64_t>{500, 1000, 1500, 2000}));
+    EXPECT_EQ(core::parseDspLadderSpec("7:7:3"), (std::vector<int64_t>{7}));
+    for (const char *bad :
+         {"100x,1e3", "1e3", "100,", ",100", "", "0", "-5", "abc",
+          "99999999999999999999", "100:50:10", "100:200", "1:2:3:4",
+          "x:200:10", "100:2x0:10", "100:200:0", "100:200:-1",
+          "100:200:", "1:20000:1"}) {
+        EXPECT_THROW(core::parseDspLadderSpec(bad), util::FatalError)
+            << "'" << bad << "'";
+    }
+}
+
+/** A range ending near INT64_MAX must stop, not wrap past it. */
+TEST(DseSession, DspLadderRangeNearInt64MaxTerminates)
+{
+    const int64_t top = std::numeric_limits<int64_t>::max();
+    const std::string hi = std::to_string(top);
+    const std::string lo = std::to_string(top - 10);
+    EXPECT_EQ(core::parseDspLadderSpec(lo + ":" + hi + ":4"),
+              (std::vector<int64_t>{top - 10, top - 6, top - 2}));
+    EXPECT_EQ(core::parseDspLadderSpec(hi + ":" + hi + ":" + hi),
+              (std::vector<int64_t>{top}));
+    EXPECT_EQ(core::parseDspLadderSpec("1:" + hi + ":" + hi),
+              (std::vector<int64_t>{1}));
+    // Far too many rungs: rejected before anything is allocated.
+    EXPECT_THROW(core::parseDspLadderSpec("1:" + hi + ":1"),
+                 util::FatalError);
 }
 
 // The truncation property every cross-budget reuse rests on: a

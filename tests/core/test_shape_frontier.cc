@@ -20,6 +20,7 @@
 #include "nn/zoo.h"
 #include "test_helpers.h"
 #include "util/math.h"
+#include "util/simd.h"
 
 namespace mclp {
 namespace {
@@ -36,10 +37,13 @@ int64_t
 rangeCycles(const std::vector<nn::ConvLayer> &layers, int64_t tn,
             int64_t tm)
 {
+    // A grouped layer runs its G groups of N/G x M/G one after the
+    // other on the same shape.
     int64_t total = 0;
     for (const nn::ConvLayer &layer : layers)
-        total += layer.r * layer.c * util::ceilDiv(layer.n, tn) *
-                 util::ceilDiv(layer.m, tm) * layer.k * layer.k;
+        total += layer.g * layer.r * layer.c *
+                 util::ceilDiv(layer.groupN(), tn) *
+                 util::ceilDiv(layer.groupM(), tm) * layer.k * layer.k;
     return total;
 }
 
@@ -50,8 +54,8 @@ bruteForce(const std::vector<nn::ConvLayer> &layers, fpga::DataType type,
     int64_t max_n = 0;
     int64_t max_m = 0;
     for (const nn::ConvLayer &layer : layers) {
-        max_n = std::max(max_n, layer.n);
-        max_m = std::max(max_m, layer.m);
+        max_n = std::max(max_n, layer.groupN());
+        max_m = std::max(max_m, layer.groupM());
     }
     std::optional<OracleChoice> best;
     for (int64_t tn = 1; tn <= std::min(max_n, units_budget); ++tn) {
@@ -300,6 +304,161 @@ TEST(ShapeFrontier, ThreadCountDoesNotChangeResults)
     EXPECT_DOUBLE_EQ(a.achievedTarget, b.achievedTarget);
     EXPECT_EQ(a.usedHeuristic, b.usedHeuristic);
     EXPECT_EQ(a.design.toString(net), b.design.toString(net));
+}
+
+void
+expectSameStaircase(const core::ShapeFrontier &got,
+                    const core::ShapeFrontier &want, const std::string &what)
+{
+    auto a = got.points();
+    auto b = want.points();
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t p = 0; p < a.size(); ++p) {
+        EXPECT_EQ(a[p].shape.tn, b[p].shape.tn) << what << " point " << p;
+        EXPECT_EQ(a[p].shape.tm, b[p].shape.tm) << what << " point " << p;
+        EXPECT_EQ(a[p].dsp, b[p].dsp) << what << " point " << p;
+        EXPECT_EQ(a[p].cycles, b[p].cycles) << what << " point " << p;
+    }
+}
+
+/**
+ * Grow one builder through an ascending cap sequence, interleaved with
+ * its layers, extending every prefix staircase in place; each must
+ * equal a fresh build of that prefix at the cap now in force, and a
+ * build under a smaller budget must still read the right prefix.
+ */
+void
+checkGrowthAgainstFreshBuilds(const std::vector<nn::ConvLayer> &layers,
+                              fpga::DataType type,
+                              const std::vector<int64_t> &caps,
+                              util::SplitMix64 &rng, const std::string &what)
+{
+    core::BreakpointCache cache;
+    auto fresh = [&](size_t prefix, int64_t cap) {
+        std::vector<const nn::ConvLayer *> ptrs;
+        for (size_t p = 0; p < prefix; ++p)
+            ptrs.push_back(&layers[p]);
+        return core::ShapeFrontier(ptrs, type, cap, cache);
+    };
+
+    core::ShapeFrontier::Builder builder;
+    size_t step = 0;
+    builder.setUnitsCap(caps[step]);
+    std::vector<core::ShapeFrontier> built;
+    auto grow = [&] {
+        int64_t cap = caps[++step];
+        size_t replayed = 0;
+        builder.growUnitsCap(cap, cache, [&](size_t layer) {
+            ASSERT_EQ(layer, replayed++);
+            built[layer] = builder.extendFrontier(built[layer], type);
+        });
+        EXPECT_EQ(replayed, built.size()) << what;
+        for (size_t p = 0; p < built.size(); ++p)
+            expectSameStaircase(built[p], fresh(p + 1, cap),
+                                what + " prefix " + std::to_string(p) +
+                                    " grown to " + std::to_string(cap));
+    };
+    for (size_t k = 0; k < layers.size(); ++k) {
+        builder.addLayer(layers[k], cache);
+        // Alternate the fused (staged update rides the walk) and
+        // flushed entries into growth.
+        if (rng.nextInt(0, 1) == 0 || k + 1 == layers.size())
+            built.push_back(builder.build(type, caps[step]));
+        else
+            built.push_back(fresh(k + 1, caps[step]));
+        while (step + 1 < caps.size() && rng.nextInt(0, 2) == 0)
+            grow();
+    }
+    while (step + 1 < caps.size())
+        grow();
+
+    int64_t cap = caps.back();
+    expectSameStaircase(builder.build(type, cap), fresh(layers.size(), cap),
+                        what + " full build after growth");
+    int64_t smaller = rng.nextInt(1, cap);
+    expectSameStaircase(builder.build(type, smaller),
+                        fresh(layers.size(), smaller),
+                        what + " capped build after growth");
+}
+
+std::vector<int64_t>
+ascendingCaps(util::SplitMix64 &rng)
+{
+    std::vector<int64_t> caps{rng.nextInt(1, 80)};
+    int steps = static_cast<int>(rng.nextInt(1, 4));
+    for (int s = 0; s < steps; ++s)
+        caps.push_back(caps.back() + rng.nextInt(1, 300));
+    return caps;
+}
+
+TEST(ShapeFrontier, CapGrowthMatchesFreshBuilds)
+{
+    util::SplitMix64 rng(20170628);
+    for (bool scalar : {false, true}) {
+        // Forced-scalar kernels must leave growth untouched too.
+        util::simd::setForceScalar(scalar);
+        for (int trial = 0; trial < 40; ++trial) {
+            auto layers = test::randomMixedLayers(
+                rng, static_cast<int>(rng.nextInt(1, 6)));
+            fpga::DataType type = trial % 2 == 0
+                                      ? fpga::DataType::Float32
+                                      : fpga::DataType::Fixed16;
+            checkGrowthAgainstFreshBuilds(
+                layers, type, ascendingCaps(rng), rng,
+                "trial " + std::to_string(trial) +
+                    (scalar ? " (scalar)" : ""));
+        }
+    }
+    util::simd::setForceScalar(false);
+}
+
+/**
+ * Past 65536 merged breakpoints per dimension the live cells are
+ * indexed by int32 pair lanes instead of packed 16-bit halves; growth
+ * must place and replay its new cells the same way there, and the
+ * result must still be the brute-force choice.
+ */
+TEST(ShapeFrontier, CapGrowthMatchesFreshBuildsInPairLanes)
+{
+    constexpr int64_t kWide = int64_t{1} << 31;
+    core::BreakpointCache probe;
+    ASSERT_GT(probe.table(kWide).bps.size(), size_t{1} << 16)
+        << "the wide layer must force the pair-lane layout";
+    util::SplitMix64 rng(31);
+    for (int trial = 0; trial < 3; ++trial) {
+        std::vector<nn::ConvLayer> layers = randomLayers(rng, 2);
+        layers.insert(layers.begin() + trial % 3,
+                      nn::makeConvLayer("wide", kWide, rng.nextInt(1, 64),
+                                        1, 1, 1, 1));
+        std::vector<int64_t> caps{rng.nextInt(1, 40)};
+        caps.push_back(caps.back() + rng.nextInt(1, 200));
+        caps.push_back(caps.back() + rng.nextInt(1, 200));
+        checkGrowthAgainstFreshBuilds(layers, fpga::DataType::Fixed16,
+                                      caps, rng,
+                                      "pair trial " + std::to_string(trial));
+
+        core::ShapeFrontier::Builder builder;
+        core::BreakpointCache cache;
+        builder.setUnitsCap(caps[0]);
+        for (const nn::ConvLayer &layer : layers)
+            builder.addLayer(layer, cache);
+        builder.growUnitsCap(caps.back(), cache);
+        core::ShapeFrontier grown =
+            builder.build(fpga::DataType::Fixed16, caps.back());
+        for (const core::FrontierPoint &point : grown.points()) {
+            for (int64_t target : {point.cycles, point.cycles - 1}) {
+                auto expect = bruteForce(layers, fpga::DataType::Fixed16,
+                                         caps.back(), target);
+                auto got = grown.query(target);
+                ASSERT_EQ(expect.has_value(), got.has_value());
+                if (!expect)
+                    continue;
+                EXPECT_EQ(expect->shape.tn, got->shape.tn);
+                EXPECT_EQ(expect->shape.tm, got->shape.tm);
+                EXPECT_EQ(expect->cycles, got->cycles);
+            }
+        }
+    }
 }
 
 TEST(BreakpointCache, BreakpointsAreExactlyTheCeilingSteps)

@@ -8,11 +8,13 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "fpga/device.h"
 #include "model/clp_config.h"
 #include "nn/conv_layer.h"
 #include "nn/network.h"
+#include "util/math.h"
 
 namespace mclp {
 namespace test {
@@ -31,6 +33,41 @@ groupedLayer(int64_t n, int64_t m, int64_t r, int64_t c, int64_t k,
              int64_t s, int64_t g, const std::string &name = "G")
 {
     return nn::makeConvLayer(name, n, m, r, c, k, s, g);
+}
+
+/**
+ * @p count random layers (N, M <= 64, R, C in [3, 14], K in {1, 3, 5}),
+ * about a third of them grouped or depthwise — the shapes that take
+ * the frontier's per-group path.
+ */
+inline std::vector<nn::ConvLayer>
+randomMixedLayers(util::SplitMix64 &rng, int count)
+{
+    std::vector<nn::ConvLayer> layers;
+    for (int i = 0; i < count; ++i) {
+        int64_t k = std::vector<int64_t>{1, 3, 5}[static_cast<size_t>(
+            rng.nextInt(0, 2))];
+        int64_t r = rng.nextInt(3, 14);
+        std::string name = "L" + std::to_string(i);
+        switch (rng.nextInt(0, 5)) {
+        case 0: {
+            int64_t g = rng.nextInt(2, 4);
+            layers.push_back(groupedLayer(g * rng.nextInt(1, 24),
+                                          g * rng.nextInt(1, 24), r, r, k,
+                                          1, g, name));
+            break;
+        }
+        case 1: {
+            int64_t c = rng.nextInt(2, 48);  // depthwise
+            layers.push_back(groupedLayer(c, c, r, r, k, 1, c, name));
+            break;
+        }
+        default:
+            layers.push_back(layer(rng.nextInt(1, 64), rng.nextInt(1, 64),
+                                   r, rng.nextInt(3, 14), k, 1, name));
+        }
+    }
+    return layers;
 }
 
 /** A single-layer network. */

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -55,6 +56,65 @@ TEST(ThreadPool, SequentialLoopsReuseWorkers)
         });
         ASSERT_EQ(count.load(), 17);
     }
+}
+
+/** Up to a few hundred nanoseconds of work the optimizer cannot
+ * elide. */
+void
+spin(int iterations)
+{
+    volatile int sink = 0;
+    for (int i = 0; i < iterations; ++i)
+        sink = sink + i;
+}
+
+/**
+ * Many callers at once, each running many small loops of short tasks,
+ * flat and then nested. Indices are claimed outside the pool's mutex,
+ * so a worker can see a job with unclaimed indices and find it
+ * drained a moment later; it once went on to run a null job. The pool
+ * has more threads than a small machine has cores, so workers are
+ * preempted inside that window often: the old pool crashed on nearly
+ * every run of this test.
+ */
+TEST(ThreadPool, ConcurrentSmallLoopsStress)
+{
+    util::ThreadPool pool(12);
+    constexpr int kCallers = 4;
+    std::atomic<long> total{0};
+    auto n_of = [](int round, int caller) {
+        return 2 + static_cast<size_t>((round * 7 + caller) % 5);
+    };
+    auto run = [&](int rounds, bool nested) {
+        std::vector<std::thread> callers;
+        for (int c = 0; c < kCallers; ++c) {
+            callers.emplace_back([&, c] {
+                for (int round = 0; round < rounds; ++round) {
+                    auto task = [&, round](size_t i) {
+                        spin(static_cast<int>((round * 31 + i * 17) % 301));
+                        total.fetch_add(1, std::memory_order_relaxed);
+                    };
+                    if (nested)
+                        pool.parallelFor(n_of(round, c), [&](size_t) {
+                            pool.parallelFor(2, task);
+                        });
+                    else
+                        pool.parallelFor(n_of(round, c), task);
+                }
+            });
+        }
+        for (std::thread &caller : callers)
+            caller.join();
+        long expect = 0;
+        for (int c = 0; c < kCallers; ++c)
+            for (int round = 0; round < rounds; ++round)
+                expect += static_cast<long>(n_of(round, c)) * (nested ? 2 : 1);
+        return expect;
+    };
+    long expect = run(2000, false);
+    EXPECT_EQ(total.exchange(0), expect);
+    expect = run(200, true);
+    EXPECT_EQ(total.load(), expect);
 }
 
 TEST(ThreadPool, ResolveThreads)
