@@ -4,26 +4,27 @@
  * engine, measured on one mixed request set.
  *
  *   cold          nothing shared: every request through a fresh
- *                 registry with no cache directory (what any single
- *                 pre-PR-4 CLI invocation cost).
+ *                 registry with no cache directory.
+ *   populate      the same, with a cache directory: cold answering
+ *                 plus the flush that publishes the segment (timed
+ *                 on its own as well).
  *   process-warm  the same registry answers the set a second time
- *                 (PR 2/3 behaviour: sessions + row store resident).
- *   disk-warm     a *fresh* process image — new FrontierCache, new
- *                 registry, new sessions — on a populated cache
- *                 directory with the mmap segment disabled, so all
- *                 reuse comes from the eager record-file decode.
- *   mmap-warm     the same fresh-image setup serving lazily from the
- *                 published read-only segment: startup skips the
- *                 eager decode entirely and staircases stream out of
- *                 the mapping on demand.
+ *                 (sessions + row store resident).
+ *   mmap-warm     a *fresh* process image — new FrontierCache, new
+ *                 registry, new sessions — on the populated
+ *                 directory: open maps the segment and validates its
+ *                 checksum, and staircases stream out of the mapping
+ *                 on demand.
  *
- * The run also measures the delta compaction: the v3 record file on
- * disk against the bytes the same records would occupy in the legacy
- * v2 SoA encoding (re-encoded record for record, framing included).
+ * The run also measures the delta compaction: the segment as written
+ * against the same image with every payload at its fixed-width size
+ * (rows 4 B + 32 B per point, traces 21 B + 36 B per step — four or
+ * five i64/f64 lanes), keys and framing identical on both sides.
  *
- * All tiers must produce byte-identical responses (the exit code
- * enforces it); the numbers land in BENCH_optimizer.json under
- * "cache" / "cache_tiers".
+ * All tiers must produce byte-identical responses, and the segment
+ * must stay at least 2x smaller than its fixed-width equivalent (the
+ * exit code enforces both); the numbers land in BENCH_optimizer.json
+ * under "cache_tiers".
  */
 
 #include <cstdio>
@@ -37,7 +38,6 @@
 #include "core/session_registry.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
-#include "util/record_file.h"
 #include "util/string_utils.h"
 #include "util/table.h"
 
@@ -76,48 +76,28 @@ answerAll(core::SessionRegistry &registry,
 }
 
 /**
- * The bytes the v3 record file's contents would occupy in the legacy
- * v2 SoA encoding: every record decoded and re-encoded through the
- * legacy encoder, record framing (12-byte frame per record) included
- * on both sides of the comparison.
+ * The segment's size with every payload at its fixed-width size:
+ * rows a u32 count plus four 8-byte lanes per point, traces a 21-byte
+ * head (flag, initial BRAM, initial peak, step count) plus 36 bytes
+ * per step. Slots, keys and counters are the same bytes either way.
  */
 size_t
-legacyEquivalentBytes(const std::string &path, size_t *records)
+fixedWidthEquivalentBytes(const core::FrontierCacheSegment &segment)
 {
-    util::RecordFileReader reader(path);
-    std::string header;
-    if (!reader.opened() || !reader.header(header))
-        return 0;
-    size_t legacy =
-        12 + core::legacyCacheHeaderPayload(
-                 core::modelFormulaFingerprint())
-                 .size();
-    std::string_view record;
-    while (reader.next(record)) {
-        util::ByteReader in(record);
-        uint8_t kind = 0;
-        uint32_t hits = 0, last_gen = 0;
-        std::vector<int64_t> key;
-        if (!in.u8(kind) || !core::readCacheKey(in, key) ||
-            !in.u32(hits) || !in.u32(last_gen))
-            continue;
-        std::string_view payload = in.rest();
-        if (kind == core::kCacheRecordRow) {
-            auto row = core::decodeRowPayload(payload);
-            if (row)
-                legacy +=
-                    12 + core::encodeLegacyRowRecord(key, *row).size();
-        } else if (kind == core::kCacheRecordTrace) {
-            core::FrontierTraceImage image;
-            if (core::decodeTracePayload(
-                    payload, core::traceKeyGroups(key), image))
-                legacy += 12 +
-                          core::encodeLegacyTraceRecord(key, image)
-                              .size();
+    size_t bytes = segment.bytes();
+    for (const core::SegmentEntry &entry : segment.entries()) {
+        bytes -= entry.payload.size();
+        if (entry.kind == core::kCacheRecordRow) {
+            if (auto row = core::decodeRowPayload(entry.payload))
+                bytes += 4 + 32 * row->size();
+        } else {
+            bool complete = false;
+            size_t steps = 0;
+            if (core::peekTraceMeta(entry.payload, &complete, &steps))
+                bytes += 21 + 36 * steps;
         }
-        ++*records;
     }
-    return legacy;
+    return bytes;
 }
 
 } // namespace
@@ -126,9 +106,9 @@ int
 main()
 {
     bench::printBenchHeader(
-        "Persistent frontier cache: cold vs process-warm vs disk-warm "
-        "vs mmap-warm",
-        "ROADMAP 'persist warm state' (PR 4) + shared cache tier (PR 8)");
+        "Persistent frontier cache: cold vs process-warm vs mmap-warm",
+        "ROADMAP 'persist warm state' + 'one cache format: the segment "
+        "is the cache'");
 
     namespace fs = std::filesystem;
     fs::path dir = fs::temp_directory_path() / "mclp_cache_reuse_bench";
@@ -150,6 +130,7 @@ main()
     std::vector<std::string> populate;
     std::vector<std::string> process_warm;
     double process_warm_ms;
+    double flush_ms;
     {
         auto cache =
             std::make_shared<core::FrontierCache>(dir.string());
@@ -159,43 +140,17 @@ main()
         auto warm_start = std::chrono::steady_clock::now();
         process_warm = answerAll(registry, lines);
         process_warm_ms = bench::msSince(warm_start);
+        // The registry's own shutdown flush then finds nothing new.
+        auto flush_start = std::chrono::steady_clock::now();
+        cache->flush();
+        flush_ms = bench::msSince(flush_start);
     }
     double populate_ms =
         bench::msSince(populate_start) - process_warm_ms;
 
-    // Compaction: the delta-encoded v3 file on disk vs the bytes the
-    // same records would occupy as legacy v2 SoA lanes.
-    std::string record_file =
-        (dir / core::kFrontierCacheFileName).string();
-    size_t compact_bytes = fs::file_size(record_file);
-    size_t record_count = 0;
-    size_t legacy_bytes =
-        legacyEquivalentBytes(record_file, &record_count);
-    size_t segment_bytes =
-        fs::file_size(dir / core::kFrontierSegmentFileName);
-
-    // Tier 3: disk-warm (fresh cache + registry on the populated
-    // directory, mmap tier off — only the record file serves). The
-    // cache-open time is the eager decode of every record.
-    auto disk_start = std::chrono::steady_clock::now();
-    std::vector<std::string> disk_warm;
-    core::FrontierCache::Stats disk_stats;
-    double disk_load_ms;
-    {
-        core::FrontierCacheOptions no_mmap;
-        no_mmap.mmapSegment = false;
-        auto cache = std::make_shared<core::FrontierCache>(
-            dir.string(), no_mmap);
-        disk_load_ms = bench::msSince(disk_start);
-        core::SessionRegistry registry(8, 0, 1, cache);
-        disk_warm = answerAll(registry, lines);
-        disk_stats = cache->stats();
-    }
-    double disk_ms = bench::msSince(disk_start);
-
-    // Tier 4: mmap-warm (same fresh-image setup, segment mapped:
-    // startup validates a checksum instead of decoding records, and
-    // only the staircases the requests actually touch are decoded).
+    // Tier 3: mmap-warm (fresh cache + registry on the populated
+    // directory: open maps and checksums the segment, and only the
+    // staircases the requests touch are decoded).
     auto mmap_start = std::chrono::steady_clock::now();
     std::vector<std::string> mmap_warm;
     core::FrontierCache::Stats mmap_stats;
@@ -209,12 +164,22 @@ main()
         mmap_stats = cache->stats();
     }
     double mmap_ms = bench::msSince(mmap_start);
+
+    // Compaction: the segment as written vs its fixed-width twin.
+    core::FrontierCacheSegment segment = core::FrontierCacheSegment::open(
+        (dir / core::kFrontierSegmentFileName).string(),
+        core::modelFormulaFingerprint());
+    size_t segment_bytes = segment.bytes();
+    size_t fixed_bytes = fixedWidthEquivalentBytes(segment);
+    size_t cache_files = 0;
+    for ([[maybe_unused]] const auto &entry : fs::directory_iterator(dir))
+        ++cache_files;
     fs::remove_all(dir);
 
     size_t mismatched = 0;
     for (size_t i = 0; i < lines.size(); ++i) {
         if (cold[i] != populate[i] || cold[i] != process_warm[i] ||
-            cold[i] != disk_warm[i] || cold[i] != mmap_warm[i])
+            cold[i] != mmap_warm[i])
             ++mismatched;
     }
 
@@ -229,37 +194,33 @@ main()
                   "1.0x", "none"});
     table.addRow({"populate (+flush)", "-",
                   util::strprintf("%.1f", populate_ms),
-                  speedup(populate_ms), "none; writes cache dir"});
+                  speedup(populate_ms), "none; publishes the segment"});
     table.addRow({"process-warm", "-",
                   util::strprintf("%.1f", process_warm_ms),
-                  speedup(process_warm_ms),
-                  "resident sessions (PR 3)"});
-    table.addRow({"disk-warm", util::strprintf("%.1f", disk_load_ms),
-                  util::strprintf("%.1f", disk_ms), speedup(disk_ms),
-                  "record file, eager decode (PR 4)"});
+                  speedup(process_warm_ms), "resident sessions"});
     table.addRow({"mmap-warm", util::strprintf("%.1f", mmap_load_ms),
                   util::strprintf("%.1f", mmap_ms), speedup(mmap_ms),
-                  "mmap'd segment, lazy decode (PR 8)"});
+                  "mmap'd segment, lazy decode"});
     table.addNote(util::strprintf(
-        "compaction: %zu records, v3 delta file %.2f MB vs legacy v2 "
-        "SoA %.2f MB (%.1fx smaller); segment image %.2f MB",
-        record_count, compact_bytes / 1e6, legacy_bytes / 1e6,
-        static_cast<double>(legacy_bytes) / compact_bytes,
-        segment_bytes / 1e6));
+        "flush: %.1f ms to publish %.2f MB (%zu files in the cache "
+        "directory)",
+        flush_ms, segment_bytes / 1e6, cache_files));
     table.addNote(util::strprintf(
-        "disk-warm decoded %zu rows eagerly; mmap-warm decoded %zu "
-        "rows / %zu traces on demand (%zu / %zu segment hits); "
-        "responses %s",
-        disk_stats.rowsLoaded, mmap_stats.segmentRowHits,
-        mmap_stats.segmentTraceHits, mmap_stats.rowHits,
-        mmap_stats.traceHits,
+        "compaction: %zu records, segment %.2f MB vs fixed-width "
+        "equivalent %.2f MB (%.1fx smaller)",
+        segment.entryCount(), segment_bytes / 1e6, fixed_bytes / 1e6,
+        static_cast<double>(fixed_bytes) / segment_bytes));
+    table.addNote(util::strprintf(
+        "mmap-warm decoded %zu rows / %zu traces on demand; responses "
+        "%s",
+        mmap_stats.segmentRowHits, mmap_stats.segmentTraceHits,
         mismatched == 0 ? "byte-identical across all tiers"
                         : "MISMATCHED (bug!)"));
     std::printf("%s\n", table.render().c_str());
 
-    bool compaction_ok = compact_bytes * 2 <= legacy_bytes;
+    bool compaction_ok = segment_bytes * 2 <= fixed_bytes;
     if (!compaction_ok)
-        std::printf("FAIL: v3 file is not 2x smaller than the v2 "
-                    "encoding\n");
+        std::printf("FAIL: the segment is not 2x smaller than its "
+                    "fixed-width equivalent\n");
     return mismatched == 0 && compaction_ok ? 0 : 1;
 }

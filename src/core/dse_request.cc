@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/dse_session.h"
+#include "core/shape_frontier.h"
 #include "nn/parser.h"
 #include "nn/zoo.h"
 #include "util/hash.h"
@@ -14,6 +15,10 @@
 
 namespace mclp {
 namespace core {
+
+static_assert(kMaxDspBudget < kUnboundedResources / 1024,
+              "request budgets must stay clear of the units-cap "
+              "sentinel");
 
 std::string
 dseModeName(DseMode mode)
@@ -242,6 +247,13 @@ std::vector<fpga::ResourceBudget>
 requestBudgets(const DseRequest &request)
 {
     request.validate();
+    for (int64_t dsp : request.dspBudgets) {
+        if (dsp > kMaxDspBudget)
+            util::fatal("DseRequest: DSP budget %lld exceeds the "
+                        "largest supported budget %lld",
+                        static_cast<long long>(dsp),
+                        static_cast<long long>(kMaxDspBudget));
+    }
     std::vector<fpga::ResourceBudget> budgets;
     if (!request.device.empty()) {
         fpga::ResourceBudget base = fpga::standardBudget(

@@ -74,6 +74,14 @@ struct DseSubNet
 };
 
 /**
+ * Largest DSP budget a request may name (2^40 slices): far above any
+ * device row, far below kUnboundedResources — the sentinel the
+ * units-cap math reserves for "no constraint", which a budget at or
+ * past it would be mistaken for.
+ */
+constexpr int64_t kMaxDspBudget = int64_t{1} << 40;
+
+/**
  * One self-contained optimization request. Defaults mirror the CLI
  * defaults, so an empty request plus a network name is runnable.
  */
@@ -121,7 +129,8 @@ struct DseRequest
 
     /**
      * DSP-slice ladder; empty means one run at the device's standard
-     * 80% budget.
+     * 80% budget. Rungs must be positive; requestBudgets() also
+     * rejects any past kMaxDspBudget.
      */
     std::vector<int64_t> dspBudgets;
 
@@ -213,7 +222,10 @@ void applyJointWeights(std::vector<DseSubNet> &subnets,
  * base when a device is named (BRAM/bandwidth kept across rungs, as
  * mclp-opt --budgets does), the Figure-7 BRAM = DSP/1.3 rule
  * otherwise, with the request's bandwidth cap applied to every rung.
- * fatal() when neither a device nor a ladder is given.
+ * fatal() when neither a device nor a ladder is given, and on any rung
+ * past kMaxDspBudget (the codec still decodes such a request exactly;
+ * this is where every path — wire, mclp-opt, dse-sweep — turns rungs
+ * into budgets, so this is where they are refused).
  */
 std::vector<fpga::ResourceBudget> requestBudgets(const DseRequest &request);
 

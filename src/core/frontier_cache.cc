@@ -102,97 +102,6 @@ modelFormulaFingerprint()
     return fingerprint;
 }
 
-namespace {
-
-/** What the record-file header says about the file, read without
- * slurping the record log (the lazy segment path's whole point is to
- * skip that read). */
-enum class HeaderProbe
-{
-    Missing,  ///< no file: clean cold start
-    Damaged,  ///< truncated/corrupt header frame: dirty cold start
-    Foreign,  ///< checksummed but not a frontier cache: dirty cold
-    Stale,    ///< other version or fingerprint: clean invalidation
-    LegacyV2, ///< SoA file, our fingerprint: eager load + upgrade
-    LegacyV3, ///< delta file, 3-lane row keys: eager load + upgrade
-    Current,  ///< current-format delta file, our fingerprint
-};
-
-HeaderProbe
-probeHeader(const std::string &path, uint64_t fingerprint,
-            uint64_t *generation)
-{
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return HeaderProbe::Missing;
-    unsigned char frame[12];
-    unsigned char payload[64];
-    size_t got = std::fread(frame, 1, sizeof(frame), file);
-    uint32_t length = 0;
-    uint64_t checksum = 0;
-    for (size_t i = 0; i < 4; ++i)
-        length |= static_cast<uint32_t>(frame[i]) << (8 * i);
-    for (size_t i = 0; i < 8; ++i)
-        checksum |= static_cast<uint64_t>(frame[4 + i]) << (8 * i);
-    bool framed = got == sizeof(frame) && length <= sizeof(payload) &&
-                  std::fread(payload, 1, length, file) == length;
-    std::fclose(file);
-    if (!framed || util::fnv1aBytes(payload, length) != checksum)
-        return HeaderProbe::Damaged;
-
-    util::ByteReader in(
-        {reinterpret_cast<const char *>(payload), length});
-    uint64_t magic = 0, fp = 0;
-    uint32_t version = 0;
-    if (!in.u64(magic) || magic != kFrontierCacheMagic)
-        return HeaderProbe::Foreign;
-    if (!in.u32(version) || !in.u64(fp) || fp != fingerprint)
-        return HeaderProbe::Stale;
-    if (version == kFrontierCacheFormatVersion)
-        return in.u64(*generation) && in.atEnd()
-                   ? HeaderProbe::Current
-                   : HeaderProbe::Damaged;
-    // A v3 header carries the generation stamp too. Real pre-groups
-    // files never reach here — their fingerprint lacks the grouped
-    // probes, so they go Stale above — but the upgrade path stays
-    // live for files the format tests author deliberately.
-    if (version == kFrontierCacheLegacyV3FormatVersion &&
-        in.u64(*generation) && in.atEnd())
-        return HeaderProbe::LegacyV3;
-    if (version == kFrontierCacheLegacyFormatVersion && in.atEnd())
-        return HeaderProbe::LegacyV2;
-    return HeaderProbe::Stale;
-}
-
-/**
- * Upgrade a v3 staircase row key (three lanes per layer: {n, m,
- * r*c*k^2} after the two header words) to the v4 shape by appending
- * the group lane to every triple. Every v3-era layer was plain
- * convolution, so g=1 throughout. Empty on a malformed length —
- * the caller treats that like any other corrupt record.
- * Trace keys are untouched by v4 (their n lane was already a
- * per-group ceiling, and g=1 makes it the same number).
- */
-std::vector<int64_t>
-upgradeV3RowKey(const std::vector<int64_t> &key)
-{
-    std::vector<int64_t> upgraded;
-    if (key.size() < 2 || (key.size() - 2) % 3 != 0)
-        return upgraded;
-    upgraded.reserve(2 + (key.size() - 2) / 3 * 4);
-    upgraded.push_back(key[0]);
-    upgraded.push_back(key[1]);
-    for (size_t i = 2; i < key.size(); i += 3) {
-        upgraded.push_back(key[i]);
-        upgraded.push_back(key[i + 1]);
-        upgraded.push_back(key[i + 2]);
-        upgraded.push_back(1);
-    }
-    return upgraded;
-}
-
-} // namespace
-
 FrontierCache::FrontierCache(std::string dir,
                              FrontierCacheOptions options)
     : dir_(std::move(dir)), options_(options),
@@ -200,10 +109,10 @@ FrontierCache::FrontierCache(std::string dir,
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(dir_, ec);  // best effort; load just misses
-    filePath_ = (fs::path(dir_) / kFrontierCacheFileName).string();
+    fs::create_directories(dir_, ec);  // best effort; open just misses
     lockPath_ = (fs::path(dir_) / kFrontierCacheLockName).string();
     segmentPath_ = (fs::path(dir_) / kFrontierSegmentFileName).string();
+    retiredPath_ = (fs::path(dir_) / kFrontierCacheFileName).string();
     // Sibling shards attach lazily: a sibling may not have published
     // anything yet (or even exist yet) — findInSiblings() maps each
     // segment the first time its file shows up on a miss.
@@ -214,149 +123,25 @@ FrontierCache::FrontierCache(std::string dir,
             (fs::path(sibling) / kFrontierSegmentFileName).string();
         siblings_.push_back(std::move(entry));
     }
-    // Loading under the advisory lock keeps the sequence simple to
-    // reason about when several CLIs share the directory; the lock is
-    // held only for the read.
-    util::FileLock lock(lockPath_);
-    loadLocked();
-}
 
-void
-FrontierCache::loadLocked()
-{
-    switch (probeHeader(filePath_, fingerprint_, &generation_)) {
-    case HeaderProbe::Missing:
-        return;  // no cache yet: clean cold start
-    case HeaderProbe::Damaged:
+    // Map or start cold. Publication is an atomic rename, so no lock
+    // is needed: the path names one complete image at any instant.
+    SegmentOpen status = SegmentOpen::Missing;
+    segment_ = FrontierCacheSegment::open(segmentPath_, fingerprint_,
+                                          &status);
+    generation_ = segment_.generation();
+    if (status == SegmentOpen::Damaged) {
         loadedClean_ = false;
-        util::warn("frontier cache: %s has a corrupt header; "
-                   "starting cold", filePath_.c_str());
-        return;
-    case HeaderProbe::Foreign:
-        loadedClean_ = false;
-        util::warn("frontier cache: %s is not a frontier cache file; "
-                   "starting cold", filePath_.c_str());
-        return;
-    case HeaderProbe::Stale:
+        util::warn("frontier cache: %s is truncated, corrupt, or not a "
+                   "cache segment; starting cold", segmentPath_.c_str());
+    } else if (status == SegmentOpen::Stale) {
         // Expected invalidation (older binary, changed model
-        // formulas): stay clean and quiet; the next flush rewrites
-        // the file under the current header.
-        util::inform("frontier cache: %s was written under a "
-                     "different format/model version; rebuilding",
-                     filePath_.c_str());
-        return;
-    case HeaderProbe::Current:
-        if (options_.mmapSegment) {
-            segment_ =
-                FrontierCacheSegment::open(segmentPath_, fingerprint_);
-            if (segment_.valid() &&
-                segment_.generation() == generation_) {
-                // Lazy mode: the segment is this exact record set,
-                // hash-indexed and shared host-wide. Skip the eager
-                // decode entirely; rows and traces stream out of the
-                // mapping on demand.
-                return;
-            }
-            // Absent, damaged, or generation-skewed (e.g. a publish
-            // torn between record-file commit and segment rename):
-            // the record file is authoritative, so fall back to it.
-            segment_ = FrontierCacheSegment();
-        }
-        loadRecordsLocked(kFrontierCacheFormatVersion);
-        return;
-    case HeaderProbe::LegacyV3:
-        // Never serve a v3-generation segment: it indexes the same
-        // records under 3-lane row keys, so the lazy path would miss
-        // every upgraded lookup while claiming to be warm. Eager-load
-        // with key upgrade; the next flush rewrites file and segment.
-        upgradePending_ = true;
-        util::inform("frontier cache: %s uses the 3-lane v3 row keys; "
-                     "it will be rewritten with group lanes on the "
-                     "next flush", filePath_.c_str());
-        loadRecordsLocked(kFrontierCacheLegacyV3FormatVersion);
-        return;
-    case HeaderProbe::LegacyV2:
-        upgradePending_ = true;
-        util::inform("frontier cache: %s uses the SoA v2 format; it "
-                     "will be rewritten delta-compacted on the next "
-                     "flush", filePath_.c_str());
-        loadRecordsLocked(kFrontierCacheLegacyFormatVersion);
-        return;
+        // formulas): stay clean and quiet; the next flush replaces
+        // the image under the current header.
+        util::inform("frontier cache: %s was written under a different "
+                     "format/model version; rebuilding",
+                     segmentPath_.c_str());
     }
-}
-
-void
-FrontierCache::loadRecordsLocked(uint32_t version)
-{
-    util::RecordFileReader reader(filePath_);
-    std::string header;
-    if (!reader.opened() || !reader.header(header)) {
-        loadedClean_ = !reader.sawCorruption();
-        return;  // probe validated the header; a race truncated it
-    }
-
-    // v3 and v4 records are framed identically (kind, key, counters,
-    // delta payload); only the row-key lane count differs. v2 lacks
-    // counters and carries the SoA bodies.
-    bool delta = version != kFrontierCacheLegacyFormatVersion;
-    std::string_view record;
-    while (reader.next(record)) {
-        util::ByteReader in(record);
-        uint8_t kind = 0;
-        std::vector<int64_t> key;
-        if (!in.u8(kind) || !readCacheKey(in, key)) {
-            loadedClean_ = false;
-            break;
-        }
-        if (delta) {
-            uint32_t hits = 0, last_gen = 0;
-            if (!in.u32(hits) || !in.u32(last_gen)) {
-                loadedClean_ = false;
-                break;
-            }
-        }
-        if (kind == kCacheRecordRow) {
-            if (version == kFrontierCacheLegacyV3FormatVersion) {
-                key = upgradeV3RowKey(key);
-                if (key.empty()) {
-                    loadedClean_ = false;
-                    break;
-                }
-            }
-            auto frontier = delta ? decodeRowPayload(in.rest())
-                                  : decodeLegacyRowBody(in);
-            if (!frontier) {
-                loadedClean_ = false;
-                break;
-            }
-            diskRows_[std::move(key)] =
-                std::make_shared<const ShapeFrontier>(
-                    std::move(*frontier));
-            ++rowsLoaded_;
-        } else if (kind == kCacheRecordTrace) {
-            FrontierTraceImage image;
-            size_t groups = traceKeyGroups(key);
-            bool valid = delta
-                    ? decodeTracePayload(in.rest(), groups, image)
-                    : decodeLegacyTraceBody(in, groups, image);
-            if (!valid) {
-                loadedClean_ = false;
-                break;
-            }
-            diskTraces_[std::move(key)] = std::move(image);
-            ++tracesLoaded_;
-        } else {
-            loadedClean_ = false;
-            break;
-        }
-    }
-    if (reader.sawCorruption())
-        loadedClean_ = false;
-    if (!loadedClean_)
-        util::warn("frontier cache: %s is truncated or corrupt past "
-                   "%zu rows / %zu traces; the valid prefix is kept "
-                   "and the rest rebuilds cold",
-                   filePath_.c_str(), rowsLoaded_, tracesLoaded_);
 }
 
 std::string_view
@@ -405,34 +190,26 @@ FrontierCache::loadRow(const std::vector<int64_t> &key, CacheTier *tier)
     std::lock_guard<std::mutex> lock(mutex_);
     if (tier)
         *tier = CacheTier::None;
-    auto it = diskRows_.find(key);
-    if (it != diskRows_.end()) {
-        ++rowHits_;
-        ++rowHitDelta_[key];
-        if (tier)
-            *tier = CacheTier::Disk;
-        return it->second;
-    }
-    it = mmapRows_.find(key);
-    if (it == mmapRows_.end() && segment_.valid()) {
+    auto it = rows_.find(key);
+    if (it == rows_.end() && segment_.valid()) {
         std::string_view payload = segment_.find(kCacheRecordRow, key);
         if (!payload.empty()) {
             // Decode straight out of the mapping and memoize: the
             // second lookup of a hot row costs a map probe, and the
             // decoded object is shared process-wide like any other.
             if (auto row = decodeRowPayload(payload))
-                it = mmapRows_
+                it = rows_
                          .emplace(key,
                                   std::make_shared<const ShapeFrontier>(
                                       std::move(*row)))
                          .first;
         }
     }
-    if (it == mmapRows_.end()) {
+    if (it == rows_.end()) {
         // Sideways before cold: a sibling shard may have published
         // this row. Its hit is not folded into rowHitDelta_ — the
-        // record belongs to the sibling's file, and our flush cannot
-        // update counters it does not own.
+        // record belongs to the sibling's segment, and our flush
+        // cannot update counters it does not own.
         auto sit = siblingRows_.find(key);
         if (sit == siblingRows_.end() && !siblings_.empty()) {
             std::string_view payload =
@@ -468,7 +245,7 @@ FrontierCache::noteRow(const std::vector<int64_t> &key,
                        std::shared_ptr<const ShapeFrontier> row)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (diskRows_.count(key) || mmapRows_.count(key))
+    if (rows_.count(key))
         return;  // already persistent
     if (segment_.valid() &&
         !segment_.find(kCacheRecordRow, key).empty())
@@ -485,27 +262,17 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     if (tier)
         *tier = CacheTier::None;
     const FrontierTraceImage *image = nullptr;
-    CacheTier source = CacheTier::Disk;
-    auto it = diskTraces_.find(key);
-    if (it != diskTraces_.end()) {
-        image = &it->second;
-    } else {
-        auto mit = mmapTraces_.find(key);
-        if (mit == mmapTraces_.end() && segment_.valid()) {
-            std::string_view payload =
-                segment_.find(kCacheRecordTrace, key);
-            FrontierTraceImage decoded;
-            if (!payload.empty() &&
-                decodeTracePayload(payload, traceKeyGroups(key),
-                                   decoded))
-                mit = mmapTraces_.emplace(key, std::move(decoded))
-                          .first;
-        }
-        if (mit != mmapTraces_.end()) {
-            image = &mit->second;
-            source = CacheTier::Mmap;
-        }
+    CacheTier source = CacheTier::Mmap;
+    auto it = traces_.find(key);
+    if (it == traces_.end() && segment_.valid()) {
+        std::string_view payload = segment_.find(kCacheRecordTrace, key);
+        FrontierTraceImage decoded;
+        if (!payload.empty() &&
+            decodeTracePayload(payload, traceKeyGroups(key), decoded))
+            it = traces_.emplace(key, std::move(decoded)).first;
     }
+    if (it != traces_.end())
+        image = &it->second;
     if (!image && !siblings_.empty()) {
         // Sideways before cold, same as rows: a sibling's published
         // walk prefix seeds this shard's trace too.
@@ -533,12 +300,12 @@ FrontierCache::seedTrace(const std::vector<int64_t> &key,
     trace.steps.assign(image->steps.data(), image->steps.size());
     trace.complete = image->complete;
     ++traceHits_;
-    if (source == CacheTier::Mmap)
-        ++segmentTraceHits_;
-    if (source == CacheTier::Sibling)
+    if (source == CacheTier::Sibling) {
         ++siblingTraceHits_;
-    else
+    } else {
+        ++segmentTraceHits_;
         ++traceHitDelta_[key];
+    }
     if (tier)
         *tier = source;
     return true;
@@ -564,29 +331,27 @@ FrontierCache::flush()
         std::vector<int64_t>,
         std::shared_ptr<TradeoffCurveCache::PartitionTrace>>>
         noted;
-    /** What disk held at load/last flush: key -> (steps, complete). */
+    /** What the segment held at open/last flush: key -> (steps,
+     * complete). */
     std::unordered_map<std::vector<int64_t>, std::pair<size_t, bool>,
                        util::Int64VectorHash>
         known;
     HitMap row_deltas, trace_deltas;
-    bool upgrade_pending;
+    uint64_t own_gen;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        own_gen = generation_;
         pending_rows = pendingRows_;
         noted.assign(notedTraces_.begin(), notedTraces_.end());
-        for (const auto &[key, image] : diskTraces_)
-            known.emplace(key, std::make_pair(image.steps.size(),
-                                              image.complete));
-        for (const auto &[key, image] : mmapTraces_)
+        for (const auto &[key, image] : traces_)
             known.emplace(key, std::make_pair(image.steps.size(),
                                               image.complete));
         row_deltas = rowHitDelta_;
         trace_deltas = traceHitDelta_;
-        upgrade_pending = upgradePending_;
     }
 
     // Phase 2: snapshot each live trace under its own mutex, keeping
-    // only traces that outgrew what this process knows is on disk.
+    // only traces that outgrew what this process knows is persistent.
     TraceMap trace_images;
     for (const auto &[key, trace] : noted) {
         std::lock_guard<std::mutex> trace_lock(trace->mutex);
@@ -606,22 +371,20 @@ FrontierCache::flush()
         trace_images.emplace(key, std::move(image));
     }
 
-    // Nothing new? Then the file — whatever concurrent CLIs did to it
-    // since — holds at least everything we could add: skip the lock
-    // and the whole read-merge-write round trip. Hit-counter deltas
-    // alone never force a rewrite either — they stay in memory and
-    // ride the next flush that rewrites the file for a real reason
-    // (tests/core/test_frontier_cache.cc pins the no-op). A pending
-    // v2/v3 format upgrade is a real reason.
-    if (pending_rows.empty() && trace_images.empty() &&
-        !upgrade_pending)
+    // Nothing new? Then the segment — whatever concurrent CLIs did to
+    // it since — holds at least everything we could add: skip the
+    // lock and the whole map-merge-publish round trip. Hit-counter
+    // deltas alone never force a publish either — they stay in memory
+    // and ride the next flush that publishes for a real reason
+    // (tests/core/test_frontier_cache.cc pins the no-op).
+    if (pending_rows.empty() && trace_images.empty())
         return true;
 
-    // Phase 3: merge with the file's *current* contents under the
-    // advisory lock and rewrite atomically. Another process may have
-    // flushed since we loaded, so the file is re-read here; records
-    // are deterministic functions of their keys, so "first writer
-    // wins" is exact for rows, and the deeper prefix wins for traces.
+    // Phase 3: merge with the image at the path *now* under the
+    // advisory lock. Another process may have published since we
+    // opened; records are deterministic functions of their keys, so
+    // "first writer wins" is exact for rows, and the deeper prefix
+    // wins for traces.
     util::FileLock lock(lockPath_);
     if (!lock.locked()) {
         util::warn("frontier cache: cannot lock %s; skipping flush",
@@ -629,109 +392,39 @@ FrontierCache::flush()
         return false;
     }
 
-    struct DiskRecord
+    struct MergedRecord
     {
-        /** Delta payload only (no kind/key/counter framing): views
-         * into the (still-alive) reader's buffer for existing
-         * records, or into `fresh` for newly encoded ones — the
-         * merge never copies a multi-megabyte file's payloads. */
+        /** Delta payload: a view into `current` (alive through the
+         * publish) for existing records, or into `fresh` for newly
+         * encoded ones — the merge never copies a multi-megabyte
+         * image's payloads. */
         std::string_view payload;
         uint32_t hits = 0;
         uint32_t lastGen = 0;
         size_t steps = 0;     ///< traces only
         bool complete = false;
     };
-    std::unordered_map<std::vector<int64_t>, DiskRecord,
+    std::unordered_map<std::vector<int64_t>, MergedRecord,
                        util::Int64VectorHash>
         rows, traces;
     std::deque<std::string> fresh;  ///< owns newly encoded payloads
-    bool rewrite = false;  // anything to change on disk?
-    uint64_t file_gen = 0;
-    util::RecordFileReader reader(filePath_);  // alive through the write
-    {
-        uint32_t file_version = 0;
-        std::string header;
-        if (reader.opened() && reader.header(header)) {
-            util::ByteReader in(header);
-            uint64_t magic = 0, fp = 0;
-            uint32_t version = 0;
-            if (in.u64(magic) && magic == kFrontierCacheMagic &&
-                in.u32(version) && in.u64(fp) && fp == fingerprint_) {
-                if (version == kFrontierCacheFormatVersion &&
-                    in.u64(file_gen) && in.atEnd())
-                    file_version = kFrontierCacheFormatVersion;
-                else if (version == kFrontierCacheLegacyV3FormatVersion &&
-                         in.u64(file_gen) && in.atEnd())
-                    file_version = kFrontierCacheLegacyV3FormatVersion;
-                else if (version == kFrontierCacheLegacyFormatVersion &&
-                         in.atEnd())
-                    file_version = kFrontierCacheLegacyFormatVersion;
-            }
-        }
-        if (reader.opened() && file_version == 0)
-            rewrite = true;  // stale or damaged file: replace wholesale
-        if (file_version == kFrontierCacheLegacyFormatVersion ||
-            file_version == kFrontierCacheLegacyV3FormatVersion)
-            rewrite = true;  // upgrade-on-flush: rewrite current-format
-
-        std::string_view record;
-        while (file_version != 0 && reader.next(record)) {
-            util::ByteReader in(record);
-            uint8_t kind = 0;
-            std::vector<int64_t> key;
-            if (!in.u8(kind) || !readCacheKey(in, key))
-                break;
-            DiskRecord disk;
-            if (file_version != kFrontierCacheLegacyFormatVersion) {
-                if (!in.u32(disk.hits) || !in.u32(disk.lastGen))
-                    break;
-                disk.payload = in.rest();
-                if (kind == kCacheRecordTrace &&
-                    !peekTraceMeta(disk.payload, &disk.complete,
-                                   &disk.steps))
-                    break;
-            } else if (kind == kCacheRecordRow) {
-                auto row = decodeLegacyRowBody(in);
-                if (!row)
-                    break;
-                util::ByteWriter out;
-                encodeRowPayload(out, *row);
-                fresh.push_back(out.bytes());
-                disk.payload = fresh.back();
-            } else if (kind == kCacheRecordTrace) {
-                FrontierTraceImage image;
-                if (!decodeLegacyTraceBody(in, traceKeyGroups(key),
-                                           image))
-                    break;
-                util::ByteWriter out;
-                encodeTracePayload(out, image);
-                fresh.push_back(out.bytes());
-                disk.payload = fresh.back();
-                disk.steps = image.steps.size();
-                disk.complete = image.complete;
-            }
-            if (kind == kCacheRecordRow) {
-                if (file_version ==
-                    kFrontierCacheLegacyV3FormatVersion) {
-                    key = upgradeV3RowKey(key);
-                    if (key.empty())
-                        break;  // corrupt tail: rewrite the valid set
-                }
-                rows.emplace(std::move(key), disk);
-            } else if (kind == kCacheRecordTrace) {
-                traces.emplace(std::move(key), disk);
-            } else {
-                break;
-            }
-        }
-        // A corrupt tail is dropped by rewriting the valid set.
-        rewrite = rewrite || reader.sawCorruption();
+    FrontierCacheSegment current =
+        FrontierCacheSegment::open(segmentPath_, fingerprint_);
+    for (SegmentEntry &entry : current.entries()) {
+        MergedRecord record{entry.payload, entry.hits, entry.lastGen};
+        if (entry.kind == kCacheRecordRow)
+            rows.emplace(std::move(entry.key), record);
+        else if (entry.kind == kCacheRecordTrace &&
+                 peekTraceMeta(entry.payload, &record.complete,
+                               &record.steps))
+            traces.emplace(std::move(entry.key), record);
+        // Anything else cannot be served; the new image drops it.
     }
-    // Every rewrite advances the generation; the segment published
-    // below carries the same stamp, which is how readers know the
-    // pair is coherent.
-    uint64_t new_gen = file_gen + 1;
+    // Every publish advances the generation, past both the image it
+    // merges and this process's own latest publish.
+    uint64_t new_gen = std::max(current.generation(), own_gen) + 1;
 
+    bool publish = false;  // anything to add to the image?
     for (const auto &[key, row] : pending_rows) {
         if (rows.count(key))
             continue;  // a concurrent CLI beat us to an identical row
@@ -740,16 +433,16 @@ FrontierCache::flush()
         fresh.push_back(out.bytes());
         rows[key] = {fresh.back(), 0, static_cast<uint32_t>(new_gen),
                      0, false};
-        rewrite = true;
+        publish = true;
     }
     std::vector<const std::vector<int64_t> *> written_traces;
     for (const auto &[key, image] : trace_images) {
         auto it = traces.find(key);
         // The deeper walk prefix wins; at equal depth a complete
         // trace beats an incomplete one, and an identical trace is
-        // left alone. A losing image must NOT enter our disk mirror
-        // below — recording it as "what disk holds" would make later
-        // seedTrace() calls hand out less warmth than disk has.
+        // left alone. A losing image must NOT enter our memo below —
+        // recording it as "what the segment holds" would make later
+        // seedTrace() calls hand out less warmth than the segment has.
         bool ours_deeper =
             it == traces.end() ||
             image.steps.size() > it->second.steps ||
@@ -760,61 +453,61 @@ FrontierCache::flush()
         util::ByteWriter out;
         encodeTracePayload(out, image);
         fresh.push_back(out.bytes());
-        DiskRecord disk;
-        disk.payload = fresh.back();
-        disk.steps = image.steps.size();
-        disk.complete = image.complete;
+        MergedRecord record;
+        record.payload = fresh.back();
+        record.steps = image.steps.size();
+        record.complete = image.complete;
         if (it != traces.end()) {
             // A deeper prefix of the same walk keeps the record's
             // hit history — it is the same logical entry.
-            disk.hits = it->second.hits;
-            disk.lastGen = it->second.lastGen;
+            record.hits = it->second.hits;
+            record.lastGen = it->second.lastGen;
         } else {
-            disk.lastGen = static_cast<uint32_t>(new_gen);
+            record.lastGen = static_cast<uint32_t>(new_gen);
         }
-        traces[key] = disk;
+        traces[key] = record;
         written_traces.push_back(&key);
-        rewrite = true;
+        publish = true;
     }
 
-    // Fold this process's hit counts into the record counters — but
-    // only when the file is being rewritten for a real reason. A hit
-    // also stamps the record with the new generation: "recently hit"
-    // is what the byte-budget eviction below spares.
+    // Fold this process's hit counts into the record counters — only
+    // when publishing for a real reason. A hit also stamps the record
+    // with the new generation: "recently hit" is what the byte-budget
+    // eviction below spares.
     size_t evicted = 0;
-    if (rewrite) {
-        for (const auto &[key, delta] : row_deltas) {
-            auto it = rows.find(key);
-            if (it == rows.end())
-                continue;
-            it->second.hits += delta;
-            it->second.lastGen = static_cast<uint32_t>(new_gen);
-        }
-        for (const auto &[key, delta] : trace_deltas) {
-            auto it = traces.find(key);
-            if (it == traces.end())
-                continue;
-            it->second.hits += delta;
-            it->second.lastGen = static_cast<uint32_t>(new_gen);
-        }
+    if (publish) {
+        auto fold = [&](auto &records, const HitMap &deltas) {
+            for (const auto &[key, delta] : deltas) {
+                auto it = records.find(key);
+                if (it == records.end())
+                    continue;
+                uint64_t hits = uint64_t{it->second.hits} + delta;
+                it->second.hits = static_cast<uint32_t>(
+                    std::min<uint64_t>(hits, UINT32_MAX));
+                it->second.lastGen = static_cast<uint32_t>(new_gen);
+            }
+        };
+        fold(rows, row_deltas);
+        fold(traces, trace_deltas);
 
         if (options_.maxBytes > 0) {
             // Least-recently-hit eviction: drop records whose last
             // hit is oldest (then fewest hits, then larger first —
             // freeing the budget with the fewest casualties) until
-            // the rewrite fits. Fresh and just-hit records carry
+            // the image fits. Fresh and just-hit records carry
             // new_gen, so they are the last candidates.
-            auto recordBytes = [](const std::vector<int64_t> &key,
-                                  const DiskRecord &disk) {
-                return 12 + 1 + 4 + 8 * key.size() + 8 +
-                       disk.payload.size();
+            size_t count = rows.size() + traces.size();
+            size_t key_words = 0, payload_bytes = 0;
+            for (const auto *records : {&rows, &traces})
+                for (const auto &[key, record] : *records) {
+                    key_words += key.size();
+                    payload_bytes += record.payload.size();
+                }
+            auto total = [&] {
+                return FrontierCacheSegment::imageBytes(
+                    count, key_words, payload_bytes);
             };
-            size_t total = 12 + 28;  // header frame + v4 payload
-            for (const auto &[key, disk] : rows)
-                total += recordBytes(key, disk);
-            for (const auto &[key, disk] : traces)
-                total += recordBytes(key, disk);
-            if (total > options_.maxBytes) {
+            if (total() > options_.maxBytes) {
                 struct Victim
                 {
                     uint32_t lastGen;
@@ -824,15 +517,17 @@ FrontierCache::flush()
                     const std::vector<int64_t> *key;
                 };
                 std::vector<Victim> victims;
-                victims.reserve(rows.size() + traces.size());
-                for (const auto &[key, disk] : rows)
-                    victims.push_back({disk.lastGen, disk.hits,
-                                       recordBytes(key, disk),
-                                       kCacheRecordRow, &key});
-                for (const auto &[key, disk] : traces)
-                    victims.push_back({disk.lastGen, disk.hits,
-                                       recordBytes(key, disk),
-                                       kCacheRecordTrace, &key});
+                victims.reserve(count);
+                for (const auto &[key, record] : rows)
+                    victims.push_back(
+                        {record.lastGen, record.hits,
+                         8 * key.size() + record.payload.size(),
+                         kCacheRecordRow, &key});
+                for (const auto &[key, record] : traces)
+                    victims.push_back(
+                        {record.lastGen, record.hits,
+                         8 * key.size() + record.payload.size(),
+                         kCacheRecordTrace, &key});
                 std::sort(victims.begin(), victims.end(),
                           [](const Victim &a, const Victim &b) {
                               if (a.lastGen != b.lastGen)
@@ -844,14 +539,18 @@ FrontierCache::flush()
                               return *a.key < *b.key;  // determinism
                           });
                 for (const Victim &victim : victims) {
-                    if (total <= options_.maxBytes)
+                    if (total() <= options_.maxBytes)
                         break;
+                    key_words -= victim.key->size();
+                    payload_bytes -=
+                        victim.bytes - 8 * victim.key->size();
+                    --count;
+                    ++evicted;
+                    // Erase last: the victim's key points into the map.
                     if (victim.kind == kCacheRecordRow)
                         rows.erase(*victim.key);
                     else
                         traces.erase(*victim.key);
-                    total -= victim.bytes;
-                    ++evicted;
                 }
                 util::inform("frontier cache: byte budget evicted "
                              "%zu least-recently-hit records",
@@ -860,101 +559,62 @@ FrontierCache::flush()
         }
     }
 
+    FrontierCacheSegment published;
+    if (publish) {
+        std::vector<SegmentRecord> records;
+        records.reserve(rows.size() + traces.size());
+        for (const auto &[key, record] : rows)
+            records.push_back({kCacheRecordRow, &key, record.payload,
+                               record.hits, record.lastGen});
+        for (const auto &[key, record] : traces)
+            records.push_back({kCacheRecordTrace, &key, record.payload,
+                               record.hits, record.lastGen});
+        if (!util::publishFileAtomic(
+                segmentPath_, FrontierCacheSegment::build(
+                                  fingerprint_, new_gen, records))) {
+            util::warn("frontier cache: publishing %s failed; previous "
+                       "segment kept", segmentPath_.c_str());
+            return false;
+        }
+        published =
+            FrontierCacheSegment::open(segmentPath_, fingerprint_);
+        // A record file left by an earlier version is never read; drop
+        // it so the directory holds one cache file.
+        std::remove(retiredPath_.c_str());
+    }
+
     // Absorb everything this flush made persistent — whether we wrote
     // it or found a concurrent CLI already had — so the next flush
     // only considers genuinely new state (and stats stop reporting it
-    // as pending).
-    auto absorb = [&](bool wrote,
-                      FrontierCacheSegment new_segment =
-                          FrontierCacheSegment()) {
-        std::lock_guard<std::mutex> lock_state(mutex_);
-        for (auto &[key, row] : pending_rows) {
-            diskRows_.emplace(key, std::move(row));
-            pendingRows_.erase(key);
+    // as pending). The rows stay pinned in the memo.
+    std::lock_guard<std::mutex> lock_state(mutex_);
+    for (auto &[key, row] : pending_rows) {
+        rows_.emplace(key, std::move(row));
+        pendingRows_.erase(key);
+    }
+    for (const std::vector<int64_t> *key : written_traces)
+        traces_[*key] = std::move(trace_images[*key]);
+    if (!publish)
+        return true;  // the segment already held everything we know
+    ++flushes_;
+    generation_ = new_gen;
+    evictedLastFlush_ = evicted;
+    // The folded counters are published; drop exactly the folded
+    // amounts (hits scored since the snapshot stay pending).
+    auto settle = [](HitMap &live, const HitMap &folded) {
+        for (const auto &[key, delta] : folded) {
+            auto it = live.find(key);
+            if (it == live.end())
+                continue;
+            if (it->second <= delta)
+                live.erase(it);
+            else
+                it->second -= delta;
         }
-        for (const std::vector<int64_t> *key : written_traces)
-            diskTraces_[*key] = std::move(trace_images[*key]);
-        // The file is current-format now (either we rewrote it or a
-        // concurrent CLI upgraded it first) — stop forcing rewrites.
-        upgradePending_ = false;
-        if (!wrote)
-            return;
-        ++flushes_;
-        generation_ = new_gen;
-        evictedLastFlush_ = evicted;
-        // The folded counters are on disk; drop exactly the folded
-        // amounts (hits scored since the snapshot stay pending).
-        auto settle = [](HitMap &live, const HitMap &folded) {
-            for (const auto &[key, delta] : folded) {
-                auto it = live.find(key);
-                if (it == live.end())
-                    continue;
-                if (it->second <= delta)
-                    live.erase(it);
-                else
-                    it->second -= delta;
-            }
-        };
-        settle(rowHitDelta_, row_deltas);
-        settle(traceHitDelta_, trace_deltas);
-        if (options_.mmapSegment)
-            segment_ = std::move(new_segment);
     };
-
-    if (!rewrite) {
-        // Disk already holds at least everything we know (every
-        // pending row matched an on-disk record, every trace lost to
-        // a deeper on-disk prefix).
-        absorb(false);
-        return true;
-    }
-
-    util::RecordFileWriter writer(
-        filePath_, cacheHeaderPayload(fingerprint_, new_gen));
-    auto appendRecord = [&](uint8_t kind,
-                            const std::vector<int64_t> &key,
-                            const DiskRecord &disk) {
-        util::ByteWriter out;
-        out.u8(kind);
-        writeCacheKey(out, key);
-        out.u32(disk.hits);
-        out.u32(disk.lastGen);
-        out.raw(disk.payload);
-        writer.append(out.bytes());
-    };
-    for (const auto &[key, disk] : rows)
-        appendRecord(kCacheRecordRow, key, disk);
-    for (const auto &[key, disk] : traces)
-        appendRecord(kCacheRecordTrace, key, disk);
-    if (!writer.commit()) {
-        util::warn("frontier cache: writing %s failed; previous cache "
-                   "file kept", filePath_.c_str());
-        return false;
-    }
-
-    // Publish the segment from the exact record set just committed —
-    // record file first, segment second, so a crash in between leaves
-    // a generation mismatch (old segment distrusted, file read
-    // eagerly), never a segment claiming records the file lost.
-    FrontierCacheSegment new_segment;
-    if (options_.mmapSegment) {
-        std::vector<SegmentRecord> records;
-        records.reserve(rows.size() + traces.size());
-        for (const auto &[key, disk] : rows)
-            records.push_back({kCacheRecordRow, &key, disk.payload});
-        for (const auto &[key, disk] : traces)
-            records.push_back({kCacheRecordTrace, &key, disk.payload});
-        std::string image =
-            FrontierCacheSegment::build(fingerprint_, new_gen, records);
-        if (util::publishFileAtomic(segmentPath_, image))
-            new_segment =
-                FrontierCacheSegment::open(segmentPath_, fingerprint_);
-        else
-            util::warn("frontier cache: publishing %s failed; workers "
-                       "will load the record file eagerly",
-                       segmentPath_.c_str());
-    }
-    absorb(true, std::move(new_segment));
+    settle(rowHitDelta_, row_deltas);
+    settle(traceHitDelta_, trace_deltas);
+    segment_ = std::move(published);
     return true;
 }
 
@@ -963,8 +623,6 @@ FrontierCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
-    stats.rowsLoaded = rowsLoaded_;
-    stats.tracesLoaded = tracesLoaded_;
     stats.rowHits = rowHits_;
     stats.traceHits = traceHits_;
     stats.rowsPending = pendingRows_.size();

@@ -1,8 +1,9 @@
 #include "core/frontier_cache_segment.h"
 
+#include <unistd.h>
+
 #include <cstring>
 
-#include "util/hash.h"
 #include "util/record_file.h"
 
 namespace mclp {
@@ -16,6 +17,8 @@ constexpr size_t kHeaderBytes = 64;
  * payloadOff | u32 payloadLen. kindWords == 0 marks an empty slot
  * (keys are never empty). */
 constexpr size_t kSlotBytes = 24;
+/** Counter pair per slot: u32 hits | u32 last-hit generation. */
+constexpr size_t kCounterBytes = 8;
 
 uint64_t
 slotHash(uint8_t kind, const int64_t *words, size_t count)
@@ -30,6 +33,16 @@ slotHash(uint8_t kind, const int64_t *words, size_t count)
         hash *= 1099511628211ULL;
     }
     return hash;
+}
+
+/** Power-of-two table at most half full. */
+uint32_t
+slotCountFor(size_t records)
+{
+    uint32_t slot_count = 8;
+    while (slot_count < 2 * records)
+        slot_count *= 2;
+    return slot_count;
 }
 
 uint64_t
@@ -50,26 +63,40 @@ loadU32(const unsigned char *bytes)
     return value;
 }
 
-int64_t
-loadI64(const unsigned char *bytes)
+void
+storeLe(unsigned char *bytes, uint64_t value, size_t count)
 {
-    return static_cast<int64_t>(loadU64(bytes));
+    for (size_t i = 0; i < count; ++i)
+        bytes[i] = static_cast<unsigned char>(value >> (8 * i));
 }
 
 } // namespace
 
 FrontierCacheSegment
-FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
+FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint,
+                           SegmentOpen *status)
 {
     FrontierCacheSegment segment;
+    SegmentOpen ignored;
+    SegmentOpen &result = status ? *status : ignored;
     util::MappedFile map = util::MappedFile::map(path);
-    if (!map.valid() || map.size() < kHeaderBytes)
+    if (!map.valid()) {
+        result = ::access(path.c_str(), F_OK) == 0
+                     ? SegmentOpen::Damaged  // empty or unmappable
+                     : SegmentOpen::Missing;
+        return segment;
+    }
+    result = SegmentOpen::Damaged;
+    if (map.size() < kHeaderBytes)
         return segment;
     const unsigned char *base = map.data();
-    if (loadU64(base) != kFrontierSegmentMagic ||
-        loadU32(base + 8) != kFrontierSegmentVersion ||
-        loadU64(base + 16) != fingerprint)
+    if (loadU64(base) != kFrontierSegmentMagic)
+        return segment;  // not a segment at all
+    if (loadU32(base + 8) != kFrontierSegmentVersion ||
+        loadU64(base + 16) != fingerprint) {
+        result = SegmentOpen::Stale;
         return segment;
+    }
     uint32_t slot_count = loadU32(base + 12);
     uint64_t generation = loadU64(base + 24);
     uint64_t entry_count = loadU64(base + 32);
@@ -81,21 +108,23 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     if (util::fnv1aBytes(base + kHeaderBytes,
                          map.size() - kHeaderBytes) != checksum)
         return segment;
-    // Geometry: power-of-two slot table, then 8-aligned key blob,
-    // then payloads to end of file.
+    // Geometry: power-of-two slot table, then the 8-aligned key blob,
+    // then one counter pair per slot, then payloads to end of file.
     if (slot_count == 0 || (slot_count & (slot_count - 1)) != 0)
         return segment;
-    size_t slots_off = kHeaderBytes;
-    size_t key_off = slots_off + size_t{slot_count} * kSlotBytes;
+    size_t key_off = kHeaderBytes + size_t{slot_count} * kSlotBytes;
     if (key_off > map.size() || key_words > (map.size() - key_off) / 8)
         return segment;
-    size_t payload_off = key_off + static_cast<size_t>(key_words) * 8;
+    size_t counters_off = key_off + static_cast<size_t>(key_words) * 8;
+    if (size_t{slot_count} > (map.size() - counters_off) / kCounterBytes)
+        return segment;
+    size_t payload_off = counters_off + size_t{slot_count} * kCounterBytes;
     size_t payload_bytes = map.size() - payload_off;
 
     // Validate every slot once so find() can trust offsets blindly.
     size_t live = 0;
     for (uint32_t s = 0; s < slot_count; ++s) {
-        const unsigned char *slot = base + slots_off + s * kSlotBytes;
+        const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
         uint32_t kind_words = loadU32(slot + 12);
         if (kind_words == 0)
             continue;
@@ -112,14 +141,14 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint)
     if (live != entry_count)
         return segment;
 
+    result = SegmentOpen::Mapped;
     segment.map_ = std::move(map);
     segment.generation_ = generation;
     segment.slotCount_ = slot_count;
     segment.entryCount_ = static_cast<size_t>(entry_count);
     segment.keyWordsOff_ = key_off;
-    segment.keyWords_ = static_cast<size_t>(key_words);
+    segment.countersOff_ = counters_off;
     segment.payloadOff_ = payload_off;
-    segment.payloadBytes_ = payload_bytes;
     return segment;
 }
 
@@ -147,7 +176,8 @@ FrontierCacheSegment::find(uint8_t kind,
             base + keyWordsOff_ + size_t{loadU32(slot + 8)} * 8;
         bool match = true;
         for (size_t i = 0; match && i < key.size(); ++i)
-            match = loadI64(stored + i * 8) == key[i];
+            match = static_cast<int64_t>(loadU64(stored + i * 8)) ==
+                    key[i];
         if (!match)
             continue;
         return {reinterpret_cast<const char *>(base) + payloadOff_ +
@@ -157,69 +187,112 @@ FrontierCacheSegment::find(uint8_t kind,
     return {};
 }
 
+std::vector<SegmentEntry>
+FrontierCacheSegment::entries() const
+{
+    std::vector<SegmentEntry> entries;
+    if (!valid())
+        return entries;
+    entries.reserve(entryCount_);
+    const unsigned char *base = map_.data();
+    for (uint32_t s = 0; s < slotCount_; ++s) {
+        const unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
+        uint32_t kind_words = loadU32(slot + 12);
+        if (kind_words == 0)
+            continue;
+        SegmentEntry entry;
+        entry.kind = static_cast<uint8_t>(kind_words >> 24);
+        entry.key.resize(kind_words & 0xffffff);
+        const unsigned char *stored =
+            base + keyWordsOff_ + size_t{loadU32(slot + 8)} * 8;
+        for (size_t i = 0; i < entry.key.size(); ++i)
+            entry.key[i] = static_cast<int64_t>(loadU64(stored + i * 8));
+        entry.payload = {reinterpret_cast<const char *>(base) +
+                             payloadOff_ + loadU32(slot + 16),
+                         loadU32(slot + 20)};
+        const unsigned char *counters =
+            base + countersOff_ + size_t{s} * kCounterBytes;
+        entry.hits = loadU32(counters);
+        entry.lastGen = loadU32(counters + 4);
+        entries.push_back(std::move(entry));
+    }
+    return entries;
+}
+
+size_t
+FrontierCacheSegment::imageBytes(size_t records, size_t key_words,
+                                 size_t payload_bytes)
+{
+    return kHeaderBytes +
+           size_t{slotCountFor(records)} * (kSlotBytes + kCounterBytes) +
+           key_words * 8 + payload_bytes;
+}
+
 std::string
 FrontierCacheSegment::build(uint64_t fingerprint, uint64_t generation,
                             const std::vector<SegmentRecord> &records)
 {
-    uint32_t slot_count = 8;
-    while (slot_count < 2 * records.size())
-        slot_count *= 2;
+    uint32_t slot_count = slotCountFor(records.size());
+    size_t key_words = 0;
+    size_t payload_bytes = 0;
+    for (const SegmentRecord &record : records) {
+        key_words += record.key->size();
+        payload_bytes += record.payload.size();
+    }
+    // Laid out in place: one allocation of the final size, no staging
+    // copies of the (multi-megabyte) payload blob.
+    std::string image(imageBytes(records.size(), key_words,
+                                 payload_bytes),
+                      '\0');
+    unsigned char *base = reinterpret_cast<unsigned char *>(image.data());
+    size_t key_off = kHeaderBytes + size_t{slot_count} * kSlotBytes;
+    size_t counters_off = key_off + key_words * 8;
+    size_t payload_off = counters_off + size_t{slot_count} * kCounterBytes;
 
-    struct Slot
-    {
-        uint64_t hash = 0;
-        uint32_t keyOff = 0;
-        uint32_t kindWords = 0;
-        uint32_t payloadOff = 0;
-        uint32_t payloadLen = 0;
-    };
-    std::vector<Slot> slots(slot_count);
-    util::ByteWriter keys;
-    util::ByteWriter payloads;
     uint32_t mask = slot_count - 1;
+    size_t key_at = 0;      // in words
+    size_t payload_at = 0;  // in bytes
     for (const SegmentRecord &record : records) {
         const std::vector<int64_t> &key = *record.key;
-        Slot slot;
-        slot.hash = slotHash(record.kind, key.data(), key.size());
-        slot.keyOff = static_cast<uint32_t>(keys.bytes().size() / 8);
-        slot.kindWords = (static_cast<uint32_t>(record.kind) << 24) |
-                         static_cast<uint32_t>(key.size());
-        slot.payloadOff =
-            static_cast<uint32_t>(payloads.bytes().size());
-        slot.payloadLen = static_cast<uint32_t>(record.payload.size());
-        keys.i64Words(key.data(), key.size());
-        payloads.raw(record.payload);
-        uint32_t s = static_cast<uint32_t>(slot.hash) & mask;
-        while (slots[s].kindWords != 0)
+        uint64_t hash = slotHash(record.kind, key.data(), key.size());
+        uint32_t s = static_cast<uint32_t>(hash) & mask;
+        while (loadU32(base + kHeaderBytes + s * kSlotBytes + 12) != 0)
             s = (s + 1) & mask;
-        slots[s] = slot;
+        unsigned char *slot = base + kHeaderBytes + s * kSlotBytes;
+        storeLe(slot, hash, 8);
+        storeLe(slot + 8, key_at, 4);
+        storeLe(slot + 12,
+                (uint32_t{record.kind} << 24) |
+                    static_cast<uint32_t>(key.size()),
+                4);
+        storeLe(slot + 16, payload_at, 4);
+        storeLe(slot + 20, record.payload.size(), 4);
+        unsigned char *counters =
+            base + counters_off + size_t{s} * kCounterBytes;
+        storeLe(counters, record.hits, 4);
+        storeLe(counters + 4, record.lastGen, 4);
+        for (size_t i = 0; i < key.size(); ++i)
+            storeLe(base + key_off + (key_at + i) * 8,
+                    static_cast<uint64_t>(key[i]), 8);
+        if (!record.payload.empty())
+            std::memcpy(base + payload_off + payload_at,
+                        record.payload.data(), record.payload.size());
+        key_at += key.size();
+        payload_at += record.payload.size();
     }
 
-    util::ByteWriter body;
-    for (const Slot &slot : slots) {
-        body.u64(slot.hash);
-        body.u32(slot.keyOff);
-        body.u32(slot.kindWords);
-        body.u32(slot.payloadOff);
-        body.u32(slot.payloadLen);
-    }
-    body.raw(keys.bytes());
-    body.raw(payloads.bytes());
-
-    util::ByteWriter header;
-    header.u64(kFrontierSegmentMagic);
-    header.u32(kFrontierSegmentVersion);
-    header.u32(slot_count);
-    header.u64(fingerprint);
-    header.u64(generation);
-    header.u64(records.size());
-    header.u64(keys.bytes().size() / 8);
-    header.u64(kHeaderBytes + body.bytes().size());
-    header.u64(util::fnv1aBytes(body.bytes().data(),
-                                body.bytes().size()));
-
-    std::string image = header.bytes();
-    image += body.bytes();
+    storeLe(base, kFrontierSegmentMagic, 8);
+    storeLe(base + 8, kFrontierSegmentVersion, 4);
+    storeLe(base + 12, slot_count, 4);
+    storeLe(base + 16, fingerprint, 8);
+    storeLe(base + 24, generation, 8);
+    storeLe(base + 32, records.size(), 8);
+    storeLe(base + 40, key_words, 8);
+    storeLe(base + 48, image.size(), 8);
+    storeLe(base + 56,
+            util::fnv1aBytes(base + kHeaderBytes,
+                             image.size() - kHeaderBytes),
+            8);
     return image;
 }
 

@@ -3,27 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/frontier_cache.h"
-
 namespace mclp {
 namespace core {
-
-void
-writeCacheKey(util::ByteWriter &out, const std::vector<int64_t> &key)
-{
-    out.u32(static_cast<uint32_t>(key.size()));
-    out.i64Words(key.data(), key.size());
-}
-
-bool
-readCacheKey(util::ByteReader &in, std::vector<int64_t> &key)
-{
-    uint32_t count = 0;
-    if (!in.u32(count) || count == 0 || count > kCacheMaxKeyWords)
-        return false;
-    key.resize(count);
-    return in.i64Words(key.data(), count);
-}
 
 size_t
 traceKeyGroups(const std::vector<int64_t> &key)
@@ -31,40 +12,6 @@ traceKeyGroups(const std::vector<int64_t> &key)
     return static_cast<size_t>(
         std::count(key.begin(), key.end(), int64_t{-1}));
 }
-
-std::string
-cacheHeaderPayload(uint64_t fingerprint, uint64_t generation)
-{
-    util::ByteWriter out;
-    out.u64(kFrontierCacheMagic);
-    out.u32(kFrontierCacheFormatVersion);
-    out.u64(fingerprint);
-    out.u64(generation);
-    return out.bytes();
-}
-
-std::string
-legacyV3CacheHeaderPayload(uint64_t fingerprint, uint64_t generation)
-{
-    util::ByteWriter out;
-    out.u64(kFrontierCacheMagic);
-    out.u32(kFrontierCacheLegacyV3FormatVersion);
-    out.u64(fingerprint);
-    out.u64(generation);
-    return out.bytes();
-}
-
-std::string
-legacyCacheHeaderPayload(uint64_t fingerprint)
-{
-    util::ByteWriter out;
-    out.u64(kFrontierCacheMagic);
-    out.u32(kFrontierCacheLegacyFormatVersion);
-    out.u64(fingerprint);
-    return out.bytes();
-}
-
-// ------------------------------------------------ delta payloads (v3)
 
 namespace {
 
@@ -249,107 +196,6 @@ peekTraceMeta(std::string_view payload, bool *complete, size_t *steps)
     *complete = flag != 0;
     *steps = static_cast<size_t>(count);
     return true;
-}
-
-// --------------------------------------- legacy SoA records (v2)
-
-std::string
-encodeLegacyRowRecord(const std::vector<int64_t> &key,
-                      const ShapeFrontier &row)
-{
-    util::ByteWriter out;
-    out.u8(kCacheRecordRow);
-    writeCacheKey(out, key);
-    size_t count = row.size();
-    out.u32(static_cast<uint32_t>(count));
-    std::vector<int64_t> lane(count);
-    for (size_t i = 0; i < count; ++i)
-        lane[i] = row.tnData()[i];
-    out.i64Words(lane.data(), count);
-    for (size_t i = 0; i < count; ++i)
-        lane[i] = row.tmData()[i];
-    out.i64Words(lane.data(), count);
-    out.i64Words(row.dspData(), count);
-    out.i64Words(row.cyclesData(), count);
-    return out.bytes();
-}
-
-std::string
-encodeLegacyTraceRecord(const std::vector<int64_t> &key,
-                        const FrontierTraceImage &image)
-{
-    util::ByteWriter out;
-    out.u8(kCacheRecordTrace);
-    writeCacheKey(out, key);
-    out.u8(image.complete ? 1 : 0);
-    out.i64(image.initialBram);
-    out.f64(image.initialPeak);
-    out.u32(static_cast<uint32_t>(image.steps.size()));
-    for (const TradeoffCurveCache::PartitionStep &step : image.steps) {
-        out.u32(step.clp);
-        out.i64(step.inCap);
-        out.i64(step.outCap);
-        out.i64(step.totalBram);
-        out.f64(step.totalPeak);
-    }
-    return out.bytes();
-}
-
-std::optional<ShapeFrontier>
-decodeLegacyRowBody(util::ByteReader &in)
-{
-    uint32_t count = 0;
-    if (!in.u32(count) || count > kCacheMaxListEntries)
-        return std::nullopt;
-    size_t n = count;
-    std::vector<int64_t> tn(n), tm(n), dsp(n), cycles(n);
-    in.i64Words(tn.data(), n);
-    in.i64Words(tm.data(), n);
-    in.i64Words(dsp.data(), n);
-    in.i64Words(cycles.data(), n);
-    if (!in.ok() || !in.atEnd())
-        return std::nullopt;
-    std::vector<FrontierPoint> points(n);
-    for (size_t i = 0; i < n; ++i) {
-        points[i].shape = model::ClpShape{tn[i], tm[i]};
-        points[i].dsp = dsp[i];
-        points[i].cycles = cycles[i];
-    }
-    return ShapeFrontier::fromPoints(std::move(points));
-}
-
-bool
-decodeLegacyTraceBody(util::ByteReader &in, size_t key_groups,
-                      FrontierTraceImage &image)
-{
-    uint8_t complete = 0;
-    uint32_t count = 0;
-    if (!in.u8(complete) || !in.i64(image.initialBram) ||
-        !in.f64(image.initialPeak) || !in.u32(count) ||
-        count > kCacheMaxListEntries)
-        return false;
-    image.complete = complete != 0;
-    image.steps.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-        TradeoffCurveCache::PartitionStep &step = image.steps[i];
-        if (!in.u32(step.clp) || !in.i64(step.inCap) ||
-            !in.i64(step.outCap) || !in.i64(step.totalBram) ||
-            !in.f64(step.totalPeak))
-            break;
-    }
-    bool valid = in.ok() && in.atEnd() && image.initialBram >= 0 &&
-                 std::isfinite(image.initialPeak);
-    int64_t prev_bram = image.initialBram;
-    for (const auto &step : image.steps) {
-        if (!valid)
-            break;
-        valid = step.clp < key_groups && step.inCap >= 0 &&
-                step.outCap >= 0 && step.totalBram >= 0 &&
-                step.totalBram < prev_bram &&
-                std::isfinite(step.totalPeak);
-        prev_bram = step.totalBram;
-    }
-    return valid;
 }
 
 } // namespace core

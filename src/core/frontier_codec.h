@@ -1,36 +1,25 @@
 /**
  * @file
- * Wire formats of the persistent frontier cache, shared by the record
- * file (core/frontier_cache.h), the mmap'd segment
- * (core/frontier_cache_segment.h), the compaction benchmark, and the
- * format tests.
+ * Payload encodings of the persistent frontier cache, shared by the
+ * segment (core/frontier_cache_segment.h), the compaction benchmark,
+ * and the format tests. A payload carries no key and no counters —
+ * the segment's slot table and counter block frame it.
  *
- * Two staircase encodings live here:
- *
- *  - **Delta (formats v3/v4; v4 changed only the row-key lane count,
- *    never these payloads).** Staircase points are stored in
- *    their units-sorted order (the order the frontier keeps them in:
- *    strictly increasing DSP, strictly decreasing cycles), which
- *    makes every lane delta-friendly: Tn/Tm fit 16 bits on any real
- *    geometry (a one-byte wide-flag keeps absurd dims correct), DSP
- *    deltas are small positive varints, and cycle deltas are small
- *    negative steps stored as zig-zag varints. ~8-10 bytes per point
- *    against the SoA format's fixed 32 — the several-fold file
- *    shrink ROADMAP item 1(b) asks for — while staying bit-exact:
- *    decode rebuilds the identical int64 lanes, and
- *    ShapeFrontier::fromPoints re-validates the staircase invariants
- *    so corruption that survives the checksum still cannot
- *    masquerade as a frontier.
- *
- *  - **SoA (format v2, legacy).** Four fixed-width i64 lane blocks.
- *    Kept as an encoder/decoder pair so v2 files upgrade in place on
- *    their first flush (decode SoA, re-encode delta) and so tests and
- *    the compaction benchmark can measure the old format against the
- *    new on identical rows.
+ * Staircase points are stored in their units-sorted order (the order
+ * the frontier keeps them in: strictly increasing DSP, strictly
+ * decreasing cycles), which makes every lane delta-friendly: Tn/Tm
+ * fit 16 bits on any real geometry (a one-byte wide-flag keeps absurd
+ * dims correct), DSP deltas are small positive varints, and cycle
+ * deltas are small negative steps stored as zig-zag varints — ~8-10
+ * bytes per point against 32 for four fixed-width i64 lanes, while
+ * staying bit-exact: decode rebuilds the identical int64 lanes, and
+ * ShapeFrontier::fromPoints re-validates the staircase invariants so
+ * corruption that survives the checksum still cannot masquerade as a
+ * frontier.
  *
  * Memory-walk traces use the same delta idea (total BRAM strictly
- *    decreases along a walk, so steps store the positive drop);
- * peaks stay IEEE-754 bit patterns because disk-warm answers must be
+ * decreases along a walk, so steps store the positive drop); peaks
+ * stay IEEE-754 bit patterns because cache-warm answers must be
  * byte-identical to cold ones.
  */
 
@@ -50,13 +39,12 @@
 namespace mclp {
 namespace core {
 
-/** Record kinds of both the record file and the segment. */
+/** Record kinds of the segment. */
 constexpr uint8_t kCacheRecordRow = 1;
 constexpr uint8_t kCacheRecordTrace = 2;
 
-/** Keys and point/step counts are capped to reject absurd corrupt
- * lengths before any allocation happens. */
-constexpr uint32_t kCacheMaxKeyWords = 1 << 20;
+/** Point/step counts are capped to reject absurd corrupt lengths
+ * before any allocation happens. */
 constexpr uint32_t kCacheMaxListEntries = 1 << 24;
 
 /** A decoded memory-walk trace as the cache stores it. */
@@ -68,33 +56,11 @@ struct FrontierTraceImage
     std::vector<TradeoffCurveCache::PartitionStep> steps;
 };
 
-// ------------------------------------------------------ shared pieces
-
-/** Length-prefixed key block ([u32 words][i64 words...]). */
-void writeCacheKey(util::ByteWriter &out,
-                   const std::vector<int64_t> &key);
-bool readCacheKey(util::ByteReader &in, std::vector<int64_t> &key);
-
 /** Groups in a partition-trace key = the -1 delimiters it contains
  * (trace semantic validation needs the bound). */
 size_t traceKeyGroups(const std::vector<int64_t> &key);
 
-/** Record-file header payloads. The v3+ headers add the generation
- * stamp the mmap'd segment revalidates against; the v3 variant exists
- * so tests can author 3-lane-row-key files and pin the upgrade. */
-std::string cacheHeaderPayload(uint64_t fingerprint,
-                               uint64_t generation);
-std::string legacyV3CacheHeaderPayload(uint64_t fingerprint,
-                                       uint64_t generation);
-std::string legacyCacheHeaderPayload(uint64_t fingerprint);
-
-// ------------------------------------------- delta payloads (v3)
-
-/**
- * Encode @p row as the delta staircase payload. The payload carries
- * no key and no counters — records and segment entries wrap it with
- * their own framing — so one encoding serves both stores.
- */
+/** Encode @p row as the delta staircase payload. */
 void encodeRowPayload(util::ByteWriter &out, const ShapeFrontier &row);
 
 /**
@@ -123,21 +89,6 @@ bool decodeTracePayload(std::string_view payload, size_t key_groups,
  */
 bool peekTraceMeta(std::string_view payload, bool *complete,
                    size_t *steps);
-
-// ---------------------------------------- legacy SoA records (v2)
-
-/** Whole legacy records (kind + key + SoA/fixed-width body), exactly
- * as a v2 binary wrote them — the upgrade path's input and the
- * compaction benchmark's baseline. */
-std::string encodeLegacyRowRecord(const std::vector<int64_t> &key,
-                                  const ShapeFrontier &row);
-std::string encodeLegacyTraceRecord(const std::vector<int64_t> &key,
-                                    const FrontierTraceImage &image);
-
-/** Decode a legacy record body (reader positioned after kind+key). */
-std::optional<ShapeFrontier> decodeLegacyRowBody(util::ByteReader &in);
-bool decodeLegacyTraceBody(util::ByteReader &in, size_t key_groups,
-                           FrontierTraceImage &image);
 
 } // namespace core
 } // namespace mclp

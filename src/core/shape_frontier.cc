@@ -813,19 +813,17 @@ FrontierRowStore::lookup(const std::vector<int64_t> &key)
         // Read through to the persistent tiers: a loaded staircase is
         // as good as a resident one (immutable, validated at decode),
         // so it joins the store and counts as a hit — no build
-        // happened. The tier the cache answered from (mmap'd segment
-        // vs eagerly decoded record file) splits the hit counters so
+        // happened. The tier the cache answered from (this shard's
+        // segment vs a sibling's) splits the hit counters so
         // cache-stats can show the whole ladder.
         CacheTier tier = CacheTier::None;
         if (auto row = cache_->loadRow(key, &tier)) {
             rows_.emplace(key, row);
             ++hits_;
-            if (tier == CacheTier::Mmap)
-                ++mmapHits_;
-            else if (tier == CacheTier::Sibling)
+            if (tier == CacheTier::Sibling)
                 ++siblingHits_;
             else
-                ++diskHits_;
+                ++mmapHits_;
             return row;
         }
     }
@@ -855,7 +853,6 @@ FrontierRowStore::stats() const
     stats.hits = hits_;
     stats.misses = misses_;
     stats.rows = rows_.size();
-    stats.diskHits = diskHits_;
     stats.mmapHits = mmapHits_;
     stats.siblingHits = siblingHits_;
     return stats;
@@ -869,14 +866,14 @@ FrontierRowStore::memoryBytes() const
     for (const auto &entry : rows_) {
         bytes += entry.first.capacity() * sizeof(int64_t) +
                  4 * sizeof(void *);
-        // With a disk cache attached, every row is pinned by the
-        // cache's in-memory mirror (loaded rows and pending
-        // write-backs) for the process lifetime, so eviction cannot
-        // free it. Counting pinned rows against the SessionRegistry's
-        // byte budget would make the cap unreachable and turn the
-        // eviction loop into pure session thrash; the mirror is the
-        // price of --cache-dir, bounded by the cache file, and
-        // accounted to the cache, not to evictable registry state.
+        // With a persistent cache attached, every row is pinned by
+        // the cache's in-memory memo (decoded, flushed, and pending
+        // rows) for the process lifetime, so eviction cannot free it.
+        // Counting pinned rows against the SessionRegistry's byte
+        // budget would make the cap unreachable and turn the eviction
+        // loop into pure session thrash; the memo is the price of
+        // --cache-dir, bounded by the cache file, and accounted to
+        // the cache, not to evictable registry state.
         if (!cache_)
             bytes += entry.second->memoryBytes();
     }

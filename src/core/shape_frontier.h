@@ -500,8 +500,9 @@ class FrontierRowStore
         size_t hits = 0;      ///< lookups answered by an existing row
         size_t misses = 0;    ///< lookups that forced a build
         size_t rows = 0;      ///< rows currently resident
-        size_t diskHits = 0;  ///< hits decoded from the record file
-        size_t mmapHits = 0;  ///< hits decoded from the mmap'd segment
+        /** Hits answered by this shard's persistent cache (decoded
+         * from its mapped segment, or written by its own flush). */
+        size_t mmapHits = 0;
         /** Hits decoded from a sibling shard's published segment
          * (cross-shard sharing under a sharded front). */
         size_t siblingHits = 0;
@@ -509,7 +510,7 @@ class FrontierRowStore
 
     /**
      * Attach a persistent cache: lookup() falls through to it on a
-     * miss (a disk hit counts as a hit and avoids the build), and
+     * miss (a cache hit counts as a hit and avoids the build), and
      * insert() notes fresh rows for write-back. Attach before first
      * use; the store never flushes — its owner does. The cache pins
      * every row it mirrors for the process lifetime, so memoryBytes()
@@ -548,7 +549,6 @@ class FrontierRowStore
         rows_;
     size_t hits_ = 0;
     size_t misses_ = 0;
-    size_t diskHits_ = 0;
     size_t mmapHits_ = 0;
     size_t siblingHits_ = 0;
 };

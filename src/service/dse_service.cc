@@ -180,7 +180,7 @@ DseService::DseService(ServiceOptions options)
                  : std::make_shared<core::FrontierCache>(
                        options.cacheDir,
                        core::FrontierCacheOptions{
-                           options.cacheMmap, options.cacheMaxBytes,
+                           options.cacheMaxBytes,
                            options.cacheSiblingDirs})),
       registry_(options.maxSessions, options.maxBytes,
                 options.sessionThreads, cache_)
@@ -218,11 +218,10 @@ DseService::handleLine(const std::string &line)
         std::string stats = util::strprintf(
             "ok stats sessions=%zu bytes=%zu hits=%zu misses=%zu "
             "evictions=%zu rows=%zu row_hits=%zu row_misses=%zu "
-            "row_disk_hits=%zu row_mmap_hits=%zu "
-            "row_sibling_hits=%zu",
+            "row_mmap_hits=%zu row_sibling_hits=%zu",
             reg.sessions, reg.bytes, reg.hits, reg.misses,
             reg.evictions, rows.rows, rows.hits, rows.misses,
-            rows.diskHits, rows.mmapHits, rows.siblingHits);
+            rows.mmapHits, rows.siblingHits);
         // Per-session hit rates: NETWORK[@DEVICE]:HITS:USES per
         // resident session, '-' when nothing is warm. Deterministic
         // order (registry key order).
@@ -263,18 +262,17 @@ DseService::handleLine(const std::string &line)
         core::FrontierRowStore::Stats rows =
             registry_.rowStore()->stats();
         // The tier ladder, cheapest first: process = answered from
-        // the row store's in-memory map, mmap = decoded on demand
-        // from the shared read-only segment, disk = decoded from the
-        // record file, sibling = decoded from another shard's
-        // published segment, cold = built from scratch.
-        size_t process_hits = rows.hits - rows.mmapHits -
-                              rows.diskHits - rows.siblingHits;
+        // the row store's in-memory map, mmap = this shard's cache
+        // (decoded on demand from the shared read-only segment),
+        // sibling = decoded from another shard's published segment,
+        // cold = built from scratch.
+        size_t process_hits =
+            rows.hits - rows.mmapHits - rows.siblingHits;
         return util::strprintf(
             "ok cache-stats enabled=1 generation=%llu "
             "segment_mapped=%d segment_entries=%zu segment_bytes=%zu "
-            "tier_process=%zu tier_mmap=%zu tier_disk=%zu "
-            "tier_sibling=%zu tier_cold=%zu rows_loaded=%zu "
-            "traces_loaded=%zu row_hits=%zu trace_hits=%zu "
+            "tier_process=%zu tier_mmap=%zu tier_sibling=%zu "
+            "tier_cold=%zu row_hits=%zu trace_hits=%zu "
             "segment_row_hits=%zu segment_trace_hits=%zu "
             "sibling_dirs=%zu sibling_segments=%zu "
             "sibling_row_hits=%zu sibling_trace_hits=%zu "
@@ -283,8 +281,7 @@ DseService::handleLine(const std::string &line)
             static_cast<unsigned long long>(stats.generation),
             stats.segmentMapped ? 1 : 0, stats.segmentEntries,
             stats.segmentBytes, process_hits, rows.mmapHits,
-            rows.diskHits, rows.siblingHits, rows.misses,
-            stats.rowsLoaded, stats.tracesLoaded, stats.rowHits,
+            rows.siblingHits, rows.misses, stats.rowHits,
             stats.traceHits, stats.segmentRowHits,
             stats.segmentTraceHits, stats.siblingDirs,
             stats.siblingSegments, stats.siblingRowHits,

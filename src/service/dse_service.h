@@ -99,19 +99,13 @@ struct ServiceOptions
      * Directory of the persistent frontier cache (mclp-serve
      * --cache-dir); empty disables it. Frontier staircases and
      * memory-walk traces load from here on a miss and flush back on
-     * shutdown, so a restarted server starts disk-warm. Responses
+     * shutdown, so a restarted server starts cache-warm. Responses
      * never change — the cache self-invalidates on format or model
      * changes (core/frontier_cache.h).
      */
     std::string cacheDir;
 
-    /** Map the published cache segment read-only and serve lazily
-     * from it (mclp-serve --cache-mmap; on by default). Sharded
-     * workers on one host then share one page-cache copy of the
-     * staircase bytes. Off = always eager-load the record file. */
-    bool cacheMmap = true;
-
-    /** Byte budget for the cache record file (mclp-serve
+    /** Byte budget for the cache segment file (mclp-serve
      * --cache-max-mb; 0 = unbounded): flushes evict the
      * least-recently-hit records past it. */
     size_t cacheMaxBytes = 0;

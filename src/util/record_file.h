@@ -1,22 +1,15 @@
 /**
  * @file
- * Framed binary record files: the storage layer under the persistent
- * frontier cache (core/frontier_cache.h).
- *
- * A record file is one header record followed by any number of data
- * records. Every record is length-framed and checksummed
- * (u32 payload length, u64 FNV-1a of the payload, payload bytes), so
- * a reader detects truncation and bit corruption record by record and
- * can keep everything validated before the damage. Writers never
- * touch the destination in place: they stream into "<path>.tmp" and
- * commit() with fsync + atomic rename, so a crash mid-write leaves
- * the previous file intact. Cross-process exclusion uses a separate
- * advisory lock file (FileLock), never the data file itself.
+ * Byte-level building blocks of the persistent frontier cache's
+ * records (core/frontier_cache.h, core/frontier_cache_segment.h):
+ * the checksum that guards a cache image, a little-endian
+ * serializer/deserializer for record payloads, and the advisory lock
+ * file that serializes cross-process flushes.
  *
  * Integers are serialized little-endian regardless of host order;
  * doubles as their IEEE-754 bit patterns, so values round-trip
  * bit-exactly — a requirement for the cache's byte-for-byte
- * disk-warm-vs-cold parity invariant.
+ * cache-warm-vs-cold parity invariant.
  */
 
 #ifndef MCLP_UTIL_RECORD_FILE_H
@@ -31,10 +24,10 @@ namespace mclp {
 namespace util {
 
 /**
- * The record checksum: FNV-1a folding eight bytes per step (plus a
+ * The image checksum: FNV-1a folding eight bytes per step (plus a
  * byte-wise tail), so checking a multi-megabyte cache file costs
  * milliseconds, not tens of them. Not the canonical byte-wise FNV —
- * this is an internal framing checksum, not an interchange hash.
+ * this is an internal integrity checksum, not an interchange hash.
  */
 uint64_t fnv1aBytes(const void *data, size_t count);
 
@@ -138,74 +131,6 @@ class FileLock
 
   private:
     int fd_ = -1;
-};
-
-/**
- * Writes a record file to "<path>.tmp"; commit() fsyncs and renames
- * it over @p path atomically. Without commit(), the destructor
- * removes the temporary and the previous file survives untouched.
- */
-class RecordFileWriter
-{
-  public:
-    RecordFileWriter(std::string path, std::string_view header);
-    ~RecordFileWriter();
-
-    RecordFileWriter(const RecordFileWriter &) = delete;
-    RecordFileWriter &operator=(const RecordFileWriter &) = delete;
-
-    /** False after any I/O error; append/commit then do nothing. */
-    bool ok() const { return ok_; }
-
-    void append(std::string_view payload);
-
-    /** Flush, fsync, rename into place. False on any failure. */
-    bool commit();
-
-  private:
-    std::string path_;
-    std::string tmpPath_;
-    std::FILE *file_ = nullptr;
-    bool ok_ = false;
-    bool committed_ = false;
-};
-
-/**
- * Reads a record file written by RecordFileWriter. The whole file is
- * slurped at construction (cache files are small); header() and
- * next() then iterate validated records. A framing or checksum
- * mismatch stops iteration and latches sawCorruption() — records
- * already returned were individually validated and stay trustworthy.
- */
-class RecordFileReader
-{
-  public:
-    explicit RecordFileReader(const std::string &path);
-
-    /** False when the file does not exist or could not be read. */
-    bool opened() const { return opened_; }
-
-    /** The header record; false on a missing/corrupt header. */
-    bool header(std::string &out) { return next(out); }
-
-    /** The next data record; false at end of file or on corruption. */
-    bool next(std::string &out);
-
-    /**
-     * Zero-copy variant: the view aliases the reader's buffer and
-     * stays valid until the reader dies — the hot path for loading
-     * multi-megabyte cache files.
-     */
-    bool next(std::string_view &out);
-
-    /** True when iteration ended on a framing/checksum error. */
-    bool sawCorruption() const { return corrupt_; }
-
-  private:
-    std::string data_;
-    size_t pos_ = 0;
-    bool opened_ = false;
-    bool corrupt_ = false;
 };
 
 } // namespace util

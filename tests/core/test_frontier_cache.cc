@@ -1,11 +1,12 @@
 /**
  * @file
  * The persistent frontier cache must trade only process-start warmth,
- * never correctness: designs answered from a disk-warm cache diff
+ * never correctness: designs answered from a cache-warm process diff
  * byte for byte against cold runs (fixed and random networks), and
- * every way a cache file can be wrong — truncated, bit-rotted, stale
- * format version, stale model fingerprint, concurrent writers — must
- * degrade to a cold build: never a crash, never different bytes.
+ * every way the segment can be wrong — truncated, bit-rotted, stale
+ * layout version, stale model fingerprint, an older image restored,
+ * concurrent writers — must degrade to a cold build: never a crash,
+ * never different bytes.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +29,7 @@
 #include "service/dse_service.h"
 #include "test_helpers.h"
 #include "util/math.h"
-#include "util/record_file.h"
+#include "util/shm.h"
 #include "util/string_utils.h"
 
 namespace mclp {
@@ -52,11 +54,6 @@ struct ScratchDir
     ~ScratchDir() { fs::remove_all(path); }
 
     std::string dir() const { return path.string(); }
-
-    std::string cacheFile() const
-    {
-        return (path / core::kFrontierCacheFileName).string();
-    }
 
     std::string segmentFile() const
     {
@@ -102,16 +99,21 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
         EXPECT_EQ(cachedResponse(line, scratch.dir()), cold) << line;
     }
 
-    // The warm pass really came from the persistent tiers. With the
-    // segment published by the earlier flushes, a fresh cache maps it
-    // and loads lazily — nothing decoded eagerly, hits stream from
-    // the mapping on demand.
+    // The warm pass really came from the persistent tier. A fresh
+    // cache maps the segment the earlier flushes published — the one
+    // cache file next to the lock — and hits stream from the mapping
+    // on demand.
+    std::set<std::string> files;
+    for (const auto &entry : fs::directory_iterator(scratch.path))
+        files.insert(entry.path().filename().string());
+    EXPECT_EQ(files, (std::set<std::string>{core::kFrontierSegmentFileName,
+                                            core::kFrontierCacheLockName}));
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     core::FrontierCache::Stats before = cache->stats();
     EXPECT_TRUE(before.loadedClean);
     EXPECT_TRUE(before.segmentMapped);
     EXPECT_GT(before.segmentEntries, 0u);
-    EXPECT_EQ(before.rowsLoaded, 0u);  // lazy: no eager decode
+    EXPECT_EQ(before.rowHits, 0u);  // lazy: nothing decoded at open
     {
         core::SessionRegistry registry(4, 0, 1, cache);
         core::DseRequest request = service::decodeRequest(requests[0]);
@@ -125,25 +127,6 @@ TEST(FrontierCache, DiskWarmMatchesColdByteForByte)
     EXPECT_GT(after.traceHits, 0u);
     EXPECT_GT(after.segmentRowHits, 0u);
     EXPECT_GT(after.segmentTraceHits, 0u);
-
-    // With the mmap tier disabled, the same directory serves the same
-    // warmth through the eager record-file load (the disk tier).
-    core::FrontierCacheOptions no_mmap;
-    no_mmap.mmapSegment = false;
-    auto disk_cache = std::make_shared<core::FrontierCache>(
-        scratch.dir(), no_mmap);
-    core::FrontierCache::Stats disk_before = disk_cache->stats();
-    EXPECT_TRUE(disk_before.loadedClean);
-    EXPECT_FALSE(disk_before.segmentMapped);
-    EXPECT_GT(disk_before.rowsLoaded, 0u);
-    EXPECT_GT(disk_before.tracesLoaded, 0u);
-    {
-        core::SessionRegistry registry(4, 0, 1, disk_cache);
-        core::DseRequest request = service::decodeRequest(requests[0]);
-        service::answerRequest(request, &registry);
-        EXPECT_GT(registry.rowStore()->stats().diskHits, 0u);
-        EXPECT_EQ(registry.rowStore()->stats().mmapHits, 0u);
-    }
 }
 
 TEST(FrontierCache, DiskWarmMatchesColdOnRandomNetworks)
@@ -182,23 +165,22 @@ populate(const ScratchDir &scratch)
         "dse id=p net=alexnet device=690t budgets=500,1500";
     std::string cold = coldResponse(line);
     EXPECT_EQ(cachedResponse(line, scratch.dir()), cold);
-    EXPECT_TRUE(fs::exists(scratch.cacheFile()));
+    EXPECT_TRUE(fs::exists(scratch.segmentFile()));
     return cold;
 }
 
 TEST(FrontierCache, TruncatedFileFallsBackToColdBuild)
 {
+    // A damaged image starts wholly cold — no valid prefix is kept —
+    // and says so (loadedClean is what cache-stats reports as clean).
     ScratchDir scratch;
     std::string cold = populate(scratch);
-    fs::resize_file(scratch.cacheFile(),
-                    fs::file_size(scratch.cacheFile()) / 2);
-    // Drop the segment too: a valid matching segment would (by
-    // design) rescue the truncated record file; this test pins the
-    // record-file degradation path itself.
-    fs::remove(scratch.segmentFile());
+    fs::resize_file(scratch.segmentFile(),
+                    fs::file_size(scratch.segmentFile()) / 2);
 
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_FALSE(cache->stats().loadedClean);
+    EXPECT_FALSE(cache->stats().segmentMapped);
     core::SessionRegistry registry(4, 0, 1, cache);
     core::DseRequest request = service::decodeRequest(
         "dse id=p net=alexnet device=690t budgets=500,1500");
@@ -212,9 +194,9 @@ TEST(FrontierCache, CorruptPayloadByteFallsBackToColdBuild)
     ScratchDir scratch;
     std::string cold = populate(scratch);
     {
-        // Flip a byte deep in the file: record checksums catch it.
+        // Flip a byte deep in the file: the image checksum catches it.
         std::FILE *file =
-            std::fopen(scratch.cacheFile().c_str(), "r+b");
+            std::fopen(scratch.segmentFile().c_str(), "r+b");
         ASSERT_NE(file, nullptr);
         ASSERT_EQ(std::fseek(file, -40, SEEK_END), 0);
         int byte = std::fgetc(file);
@@ -222,37 +204,36 @@ TEST(FrontierCache, CorruptPayloadByteFallsBackToColdBuild)
         std::fputc(byte ^ 0x5a, file);
         std::fclose(file);
     }
+    EXPECT_FALSE(core::FrontierCache(scratch.dir()).stats().loadedClean);
     EXPECT_EQ(cachedResponse(
                   "dse id=p net=alexnet device=690t budgets=500,1500",
                   scratch.dir()),
               cold);
 }
 
-/** Write a header-only cache file with the given version/fingerprint. */
+/** Publish a one-record segment whose header says @p magic,
+ * @p version and @p fingerprint (the body checksum stays valid). */
 void
-writeHeaderOnly(const std::string &path, uint64_t magic,
-                uint32_t version, uint64_t fingerprint)
+writeSegmentWithHeader(const std::string &path, uint64_t magic,
+                       uint32_t version, uint64_t fingerprint)
 {
-    util::ByteWriter header;
-    header.u64(magic);
-    header.u32(version);
-    header.u64(fingerprint);
-    util::RecordFileWriter writer(path, header.bytes());
     // One garbage record: it must never be read under a bad header.
-    util::ByteWriter bogus;
-    bogus.u8(1);
-    bogus.u32(1);
-    bogus.i64(-7);
-    writer.append(bogus.bytes());
-    ASSERT_TRUE(writer.commit());
+    std::vector<int64_t> key = {-7};
+    std::string image = core::FrontierCacheSegment::build(
+        fingerprint, 1, {{core::kCacheRecordRow, &key, "bogus"}});
+    for (size_t i = 0; i < 8; ++i)
+        image[i] = static_cast<char>(magic >> (8 * i));
+    for (size_t i = 0; i < 4; ++i)
+        image[8 + i] = static_cast<char>(version >> (8 * i));
+    ASSERT_TRUE(util::publishFileAtomic(path, image));
 }
 
 TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
 {
     for (int variant = 0; variant < 3; ++variant) {
         ScratchDir scratch;
-        uint64_t magic = core::kFrontierCacheMagic;
-        uint32_t version = core::kFrontierCacheFormatVersion;
+        uint64_t magic = core::kFrontierSegmentMagic;
+        uint32_t version = core::kFrontierSegmentVersion;
         uint64_t fingerprint = core::modelFormulaFingerprint();
         if (variant == 0)
             version += 1;
@@ -260,13 +241,13 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
             fingerprint ^= 1;
         else
             magic ^= 0xff;
-        writeHeaderOnly(scratch.cacheFile(), magic, version,
-                        fingerprint);
+        writeSegmentWithHeader(scratch.segmentFile(), magic, version,
+                               fingerprint);
 
         auto cache =
             std::make_shared<core::FrontierCache>(scratch.dir());
-        EXPECT_EQ(cache->stats().rowsLoaded, 0u);
-        EXPECT_EQ(cache->stats().tracesLoaded, 0u);
+        EXPECT_FALSE(cache->stats().segmentMapped);
+        EXPECT_EQ(cache->loadRow({-7}), nullptr);
         // A stale header is an *expected* invalidation, not damage —
         // except the wrong-magic case, which is not our file at all.
         if (variant != 2) {
@@ -287,8 +268,7 @@ TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)
         auto reloaded =
             std::make_shared<core::FrontierCache>(scratch.dir());
         EXPECT_TRUE(reloaded->stats().loadedClean);
-        // The flush published a segment alongside the record file, so
-        // the reload serves lazily from the mapping (no eager rows).
+        // The flush replaced the refused image with a valid one.
         EXPECT_TRUE(reloaded->stats().segmentMapped);
         EXPECT_GT(reloaded->stats().segmentEntries, 0u);
     }
@@ -328,8 +308,8 @@ TEST(FrontierCache, ConcurrentWritersMergeInsteadOfClobbering)
     writer_b.join();
 
     // A third process sees the union, loads clean, and answers both
-    // requests disk-warm with cold bytes. Whichever CLI flushed last
-    // re-read the file under the lock and merged, so the earlier
+    // requests cache-warm with cold bytes. Whichever CLI flushed last
+    // re-mapped the segment under the lock and merged, so the earlier
     // flush survives alongside it.
     auto merged = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_TRUE(merged->stats().loadedClean);
@@ -381,8 +361,8 @@ TEST(FrontierCache, StaircaseValidationRejectsCorruptRows)
 
 TEST(FrontierCache, PinnedRowsAreExcludedFromEvictableBytes)
 {
-    // With a cache attached every row is pinned by the cache's mirror
-    // (disk-loaded or pending write-back), so eviction cannot free
+    // With a cache attached every row is pinned by the cache's memo
+    // (decoded, flushed, or pending write-back), so eviction cannot free
     // it; the byte budget must therefore not count row payloads, or a
     // --max-bytes-mb server with --cache-dir would thrash sessions
     // forever against a floor it can never get under.
@@ -445,204 +425,6 @@ readFileBytes(const std::string &path)
     return bytes;
 }
 
-TEST(FrontierCache, LegacyV2FileUpgradesOnFirstFlush)
-{
-    ScratchDir scratch;
-    std::vector<int64_t> row_key = {3, 64, 2880, 17};
-    auto row = makeRow(5);
-    std::vector<int64_t> trace_key = {1, 4, 4, -1, 8, 8, -1};
-    core::FrontierTraceImage trace;
-    trace.complete = true;
-    trace.initialBram = 5000;
-    trace.initialPeak = 12.5;
-    for (int i = 0; i < 6; ++i) {
-        core::TradeoffCurveCache::PartitionStep step;
-        step.clp = static_cast<uint32_t>(i % 2);
-        step.inCap = 100 - i;
-        step.outCap = 200 - i;
-        step.totalBram = 4000 - i * 300;
-        step.totalPeak = 13.0 + i;
-        trace.steps.push_back(step);
-    }
-    {
-        // Exactly what a v2 binary left behind: SoA records under the
-        // legacy header.
-        util::RecordFileWriter writer(
-            scratch.cacheFile(), core::legacyCacheHeaderPayload(
-                                     core::modelFormulaFingerprint()));
-        writer.append(core::encodeLegacyRowRecord(row_key, *row));
-        writer.append(
-            core::encodeLegacyTraceRecord(trace_key, trace));
-        ASSERT_TRUE(writer.commit());
-    }
-    size_t legacy_bytes = fs::file_size(scratch.cacheFile());
-
-    // The v2 file loads eagerly (no segment exists for it), clean.
-    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
-    EXPECT_TRUE(cache->stats().loadedClean);
-    EXPECT_FALSE(cache->stats().segmentMapped);
-    EXPECT_EQ(cache->stats().rowsLoaded, 1u);
-    EXPECT_EQ(cache->stats().tracesLoaded, 1u);
-    core::CacheTier tier = core::CacheTier::None;
-    auto loaded = cache->loadRow(row_key, &tier);
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Disk);
-    ASSERT_EQ(loaded->size(), row->size());
-    for (size_t i = 0; i < row->size(); ++i) {
-        EXPECT_EQ(loaded->point(i).shape, row->point(i).shape);
-        EXPECT_EQ(loaded->point(i).dsp, row->point(i).dsp);
-        EXPECT_EQ(loaded->point(i).cycles, row->point(i).cycles);
-    }
-
-    // First flush rewrites delta-compacted under the current header
-    // even with nothing new pending.
-    ASSERT_TRUE(cache->flush());
-    EXPECT_LT(fs::file_size(scratch.cacheFile()), legacy_bytes)
-        << "the delta rewrite must shrink the legacy SoA file";
-    EXPECT_TRUE(fs::exists(scratch.segmentFile()));
-
-    // A fresh open maps the published segment and serves the
-    // upgraded records unchanged.
-    auto upgraded = std::make_shared<core::FrontierCache>(scratch.dir());
-    EXPECT_TRUE(upgraded->stats().loadedClean);
-    EXPECT_TRUE(upgraded->stats().segmentMapped);
-    EXPECT_EQ(upgraded->stats().segmentEntries, 2u);
-    EXPECT_GE(upgraded->stats().generation, 1u);
-    tier = core::CacheTier::None;
-    auto reloaded = upgraded->loadRow(row_key, &tier);
-    ASSERT_NE(reloaded, nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
-    ASSERT_EQ(reloaded->size(), row->size());
-    for (size_t i = 0; i < row->size(); ++i) {
-        EXPECT_EQ(reloaded->point(i).dsp, row->point(i).dsp);
-        EXPECT_EQ(reloaded->point(i).cycles, row->point(i).cycles);
-    }
-}
-
-TEST(FrontierCache, LegacyV3FileUpgradesToV4OnFirstFlush)
-{
-    // v4 added the per-layer group lane to row keys; payload framing
-    // is untouched. A v3 file must eager-load (its segment, if any,
-    // indexes 3-lane keys and would miss every lookup), answer under
-    // the upgraded 4-lane keys, and be rewritten as v4 on the first
-    // flush with the generation advancing monotonically.
-    ScratchDir scratch;
-    // Two header words, then (n, m, r*c*k^2) per layer; the upgrade
-    // appends G=1 to each layer triple.
-    std::vector<int64_t> v3_row_key = {2, 2880, 3, 64, 121};
-    std::vector<int64_t> v4_row_key = {2, 2880, 3, 64, 121, 1};
-    auto row = makeRow(9);
-    std::vector<int64_t> trace_key = {1, 4, 4, -1, 8, 8, -1};
-    core::FrontierTraceImage trace;
-    trace.complete = false;
-    trace.initialBram = 7000;
-    trace.initialPeak = 9.25;
-    for (int i = 0; i < 4; ++i) {
-        core::TradeoffCurveCache::PartitionStep step;
-        step.clp = static_cast<uint32_t>(i % 2);
-        step.inCap = 90 - i;
-        step.outCap = 180 - i;
-        step.totalBram = 6000 - i * 400;
-        step.totalPeak = 10.0 + i;
-        trace.steps.push_back(step);
-    }
-    {
-        // Exactly what a v3 binary left behind: delta records with
-        // hit counters, 3-lane row keys, generation 7 in the header.
-        util::RecordFileWriter writer(
-            scratch.cacheFile(),
-            core::legacyV3CacheHeaderPayload(
-                core::modelFormulaFingerprint(), 7));
-        util::ByteWriter rrec;
-        rrec.u8(core::kCacheRecordRow);
-        core::writeCacheKey(rrec, v3_row_key);
-        rrec.u32(12);  // hits
-        rrec.u32(7);   // lastGen
-        core::encodeRowPayload(rrec, *row);
-        writer.append(rrec.bytes());
-        util::ByteWriter trec;
-        trec.u8(core::kCacheRecordTrace);
-        core::writeCacheKey(trec, trace_key);
-        trec.u32(3);
-        trec.u32(6);
-        core::encodeTracePayload(trec, trace);
-        writer.append(trec.bytes());
-        ASSERT_TRUE(writer.commit());
-    }
-
-    // Eager clean load; the row answers only under its 4-lane key.
-    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
-    EXPECT_TRUE(cache->stats().loadedClean);
-    EXPECT_FALSE(cache->stats().segmentMapped);
-    EXPECT_EQ(cache->stats().rowsLoaded, 1u);
-    EXPECT_EQ(cache->stats().tracesLoaded, 1u);
-    EXPECT_EQ(cache->stats().generation, 7u);
-    core::CacheTier tier = core::CacheTier::None;
-    EXPECT_EQ(cache->loadRow(v3_row_key, &tier), nullptr)
-        << "3-lane keys must not answer after the upgrade";
-    auto loaded = cache->loadRow(v4_row_key, &tier);
-    ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Disk);
-    ASSERT_EQ(loaded->size(), row->size());
-    for (size_t i = 0; i < row->size(); ++i) {
-        EXPECT_EQ(loaded->point(i).shape, row->point(i).shape);
-        EXPECT_EQ(loaded->point(i).dsp, row->point(i).dsp);
-        EXPECT_EQ(loaded->point(i).cycles, row->point(i).cycles);
-    }
-    // Trace keys carry no layer lanes, so they pass through as-is.
-    core::TradeoffCurveCache::PartitionTrace seeded;
-    EXPECT_TRUE(cache->seedTrace(trace_key, seeded, &tier));
-    EXPECT_EQ(tier, core::CacheTier::Disk);
-    EXPECT_EQ(seeded.steps.size(), trace.steps.size());
-
-    // First flush rewrites as v4 even with nothing new pending.
-    ASSERT_TRUE(cache->flush());
-    EXPECT_TRUE(fs::exists(scratch.segmentFile()));
-
-    // A fresh open maps the published segment under 4-lane keys.
-    auto upgraded = std::make_shared<core::FrontierCache>(scratch.dir());
-    EXPECT_TRUE(upgraded->stats().loadedClean);
-    EXPECT_TRUE(upgraded->stats().segmentMapped);
-    EXPECT_EQ(upgraded->stats().segmentEntries, 2u);
-    EXPECT_GT(upgraded->stats().generation, 7u)
-        << "the rewrite must advance the v3 header's generation";
-    tier = core::CacheTier::None;
-    EXPECT_EQ(upgraded->loadRow(v3_row_key, &tier), nullptr);
-    auto reloaded = upgraded->loadRow(v4_row_key, &tier);
-    ASSERT_NE(reloaded, nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Mmap);
-    ASSERT_EQ(reloaded->size(), row->size());
-    for (size_t i = 0; i < row->size(); ++i) {
-        EXPECT_EQ(reloaded->point(i).dsp, row->point(i).dsp);
-        EXPECT_EQ(reloaded->point(i).cycles, row->point(i).cycles);
-    }
-}
-
-TEST(FrontierCache, CorruptV3RowKeyLoadsUnclean)
-{
-    // A v3 row key whose layer lanes are not a multiple of three
-    // cannot be upgraded; the load keeps the valid prefix and goes
-    // unclean instead of inventing group lanes.
-    ScratchDir scratch;
-    {
-        util::RecordFileWriter writer(
-            scratch.cacheFile(),
-            core::legacyV3CacheHeaderPayload(
-                core::modelFormulaFingerprint(), 1));
-        util::ByteWriter rec;
-        rec.u8(core::kCacheRecordRow);
-        core::writeCacheKey(rec, {2, 2880, 3, 64});  // truncated triple
-        rec.u32(0);
-        rec.u32(1);
-        core::encodeRowPayload(rec, *makeRow(3));
-        writer.append(rec.bytes());
-        ASSERT_TRUE(writer.commit());
-    }
-    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
-    EXPECT_FALSE(cache->stats().loadedClean);
-    EXPECT_EQ(cache->stats().rowsLoaded, 0u);
-}
-
 TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
 {
     ScratchDir scratch;
@@ -656,7 +438,7 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
             cache->noteRow(keys[i], makeRow(i));
         ASSERT_TRUE(cache->flush());
     }
-    size_t full_bytes = fs::file_size(scratch.cacheFile());
+    size_t full_bytes = fs::file_size(scratch.segmentFile());
 
     // A budgeted process hits five records, learns one new row, and
     // flushes: the rewrite must fit the budget by evicting
@@ -672,8 +454,22 @@ TEST(FrontierCache, ByteBudgetEvictsTheLeastRecentlyHitRecords)
         cache->noteRow({999, 999, 999}, makeRow(99));
         ASSERT_TRUE(cache->flush());
         EXPECT_GE(cache->stats().evictedLastFlush, 5u);
-        EXPECT_LE(fs::file_size(scratch.cacheFile()),
+        EXPECT_LE(fs::file_size(scratch.segmentFile()),
                   budgeted.maxBytes);
+    }
+
+    // The counters live in the image: the five hits were folded into
+    // their records, stamped with the publishing generation.
+    core::FrontierCacheSegment segment = core::FrontierCacheSegment::open(
+        scratch.segmentFile(), core::modelFormulaFingerprint());
+    ASSERT_TRUE(segment.valid());
+    for (const core::SegmentEntry &entry : segment.entries()) {
+        bool hot = entry.key[0] < 5;
+        EXPECT_EQ(entry.hits, hot ? 1u : 0u) << entry.key[0];
+        if (hot || entry.key[0] == 999)
+            EXPECT_EQ(entry.lastGen, segment.generation());
+        else
+            EXPECT_LT(entry.lastGen, segment.generation());
     }
 
     // Survivors: all five hot keys and the fresh row; the evicted
@@ -700,12 +496,11 @@ TEST(FrontierCache, CounterOnlyFlushLeavesTheFileUntouched)
         cache->noteRow(key, makeRow(1));
         ASSERT_TRUE(cache->flush());
     }
-    std::string file_before = readFileBytes(scratch.cacheFile());
     std::string segment_before = readFileBytes(scratch.segmentFile());
 
-    // Hits move counters, but counters alone never earn a rewrite:
-    // the flush is a no-op and both files keep their exact bytes
-    // (the deltas ride the next real rewrite).
+    // Hits move counters, but counters alone never earn a publish:
+    // the flush is a no-op and the segment keeps its exact bytes
+    // (the deltas ride the next real publish).
     {
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
@@ -714,28 +509,34 @@ TEST(FrontierCache, CounterOnlyFlushLeavesTheFileUntouched)
         ASSERT_TRUE(cache->flush());
         EXPECT_EQ(cache->stats().flushes, 0u);
     }
-    EXPECT_EQ(readFileBytes(scratch.cacheFile()), file_before);
     EXPECT_EQ(readFileBytes(scratch.segmentFile()), segment_before);
 
-    // A real change still rewrites (and bumps the generation).
+    // A real change still publishes (and bumps the generation), and
+    // the hits scored before it ride along into the record's counter.
     {
         auto cache = std::make_shared<core::FrontierCache>(
             scratch.dir());
+        for (int i = 0; i < 2; ++i)
+            ASSERT_NE(cache->loadRow(key), nullptr);
         cache->noteRow({16, 23, 42}, makeRow(2));
         ASSERT_TRUE(cache->flush());
         EXPECT_EQ(cache->stats().flushes, 1u);
         EXPECT_GE(cache->stats().generation, 2u);
     }
-    EXPECT_NE(readFileBytes(scratch.cacheFile()), file_before);
+    EXPECT_NE(readFileBytes(scratch.segmentFile()), segment_before);
+    core::FrontierCacheSegment segment = core::FrontierCacheSegment::open(
+        scratch.segmentFile(), core::modelFormulaFingerprint());
+    ASSERT_EQ(segment.entryCount(), 2u);
+    for (const core::SegmentEntry &entry : segment.entries())
+        EXPECT_EQ(entry.hits, entry.key == key ? 2u : 0u);
 }
 
-TEST(FrontierCache, StaleSegmentGenerationFallsBackToEagerLoad)
+TEST(FrontierCache, OlderSegmentRestoredOverANewerOneServesItsRecords)
 {
-    // Simulate a crash between the record file's atomic rename and
-    // the segment publish (flush commits the record file *first*):
-    // the surviving segment carries an older generation, so a fresh
-    // process must distrust it and eager-load the record file — the
-    // old segment must never shadow newer records.
+    // A restored backup (or any older image put back over the current
+    // one) is a complete, valid image: it serves exactly its own
+    // records, the rows only the newer image held rebuild cold, and
+    // the next flush publishes past both generations.
     ScratchDir scratch;
     std::vector<int64_t> old_key = {1, 2, 3};
     std::vector<int64_t> new_key = {7, 8, 9};
@@ -751,31 +552,76 @@ TEST(FrontierCache, StaleSegmentGenerationFallsBackToEagerLoad)
             scratch.dir());
         cache->noteRow(new_key, makeRow(4));
         ASSERT_TRUE(cache->flush());
+        EXPECT_EQ(cache->stats().generation, 2u);
     }
-    {
-        // Torn publish: the new segment never landed.
-        std::FILE *file =
-            std::fopen(scratch.segmentFile().c_str(), "wb");
-        ASSERT_NE(file, nullptr);
-        std::fwrite(old_segment.data(), 1, old_segment.size(), file);
-        std::fclose(file);
-    }
+    ASSERT_TRUE(util::publishFileAtomic(scratch.segmentFile(),
+                                        old_segment));
 
     auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_TRUE(cache->stats().loadedClean);
-    EXPECT_FALSE(cache->stats().segmentMapped);
-    EXPECT_EQ(cache->stats().rowsLoaded, 2u);
+    EXPECT_TRUE(cache->stats().segmentMapped);
+    EXPECT_EQ(cache->stats().generation, 1u);
     core::CacheTier tier = core::CacheTier::None;
-    EXPECT_NE(cache->loadRow(new_key, &tier), nullptr);
-    EXPECT_EQ(tier, core::CacheTier::Disk);
-    EXPECT_NE(cache->loadRow(old_key), nullptr);
+    auto row = cache->loadRow(old_key, &tier);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(tier, core::CacheTier::Mmap);
+    EXPECT_EQ(row->size(), makeRow(3)->size());
+    EXPECT_EQ(cache->loadRow(new_key, &tier), nullptr);
+    EXPECT_EQ(tier, core::CacheTier::None);
 
-    // The next flush with real changes republishes a trusted segment.
-    cache->noteRow({11, 12, 13}, makeRow(5));
+    cache->noteRow(new_key, makeRow(4));
     ASSERT_TRUE(cache->flush());
     auto healed = std::make_shared<core::FrontierCache>(scratch.dir());
     EXPECT_TRUE(healed->stats().segmentMapped);
-    EXPECT_EQ(healed->stats().segmentEntries, 3u);
+    EXPECT_EQ(healed->stats().segmentEntries, 2u);
+    EXPECT_EQ(healed->stats().generation, 2u);
+}
+
+TEST(FrontierCache, LeftoverPublishTempFileIsIgnored)
+{
+    // A publish killed before its rename leaves "<segment>.tmp"
+    // behind. Readers never look at it, and the next publish
+    // overwrites it.
+    ScratchDir scratch;
+    std::string cold = populate(scratch);
+    std::string tmp = scratch.segmentFile() + ".tmp";
+    {
+        std::FILE *file = std::fopen(tmp.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        std::string half = readFileBytes(scratch.segmentFile());
+        half.resize(half.size() / 2);
+        std::fwrite(half.data(), 1, half.size(), file);
+        std::fclose(file);
+    }
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    EXPECT_TRUE(cache->stats().loadedClean);
+    EXPECT_TRUE(cache->stats().segmentMapped);
+    EXPECT_EQ(cachedResponse(
+                  "dse id=p net=alexnet device=690t budgets=500,1500",
+                  scratch.dir()),
+              cold);
+    cache->noteRow({5, 5, 5}, makeRow(5));
+    ASSERT_TRUE(cache->flush());
+    EXPECT_FALSE(fs::exists(tmp));
+}
+
+TEST(FrontierCache, FlushLeavesOnlyTheSegmentAndTheLock)
+{
+    // A record file left by an earlier version is never read, and
+    // the first real flush removes it.
+    ScratchDir scratch;
+    std::string retired =
+        (scratch.path / core::kFrontierCacheFileName).string();
+    ASSERT_TRUE(util::publishFileAtomic(retired, "old record file"));
+    auto cache = std::make_shared<core::FrontierCache>(scratch.dir());
+    EXPECT_TRUE(cache->stats().loadedClean);
+    cache->noteRow({1, 1, 1}, makeRow(1));
+    ASSERT_TRUE(cache->flush());
+    std::set<std::string> files;
+    for (const auto &entry : fs::directory_iterator(scratch.path))
+        files.insert(entry.path().filename().string());
+    EXPECT_EQ(files, (std::set<std::string>{core::kFrontierSegmentFileName,
+                                            core::kFrontierCacheLockName}));
 }
 
 } // namespace

@@ -26,7 +26,10 @@ TEST(Zoo, PaperNetworksAreUngrouped)
     // g=1 wire parity the CI checks) are untouched.
     for (const char *name :
          {"alexnet", "vggnet-e", "squeezenet", "googlenet"}) {
-        for (const auto &layer : nn::networkByName(name).layers())
+        // Bind the network first: a range-for over a member of the
+        // temporary would iterate a destroyed object.
+        nn::Network net = nn::networkByName(name);
+        for (const auto &layer : net.layers())
             EXPECT_EQ(layer.g, 1) << name << " " << layer.name;
     }
 }

@@ -400,6 +400,35 @@ TEST(DseService, JointErrorPathsAnswerErrLinesNotFatal)
         << responses[3];
 }
 
+TEST(DseService, BudgetsPastTheSupportedMaximumAnswerPlainErr)
+{
+    // A budget at or past the units-cap sentinel (2^61 - 1) used to
+    // reach the optimizer and come back as an internal error; the
+    // request boundary rejects it as a user error naming the budget.
+    service::DseService dse{service::ServiceOptions{}};
+    for (const char *budget :
+         {"9223372036854775807", "2305843009213693952",
+          "2305843009213693951", "1099511627777"}) {
+        std::string response = dse.handleLine(
+            std::string("dse id=huge net=alexnet budgets=500,") +
+            budget);
+        EXPECT_TRUE(util::startsWith(response, "err id=huge "))
+            << response;
+        EXPECT_NE(response.find(budget), std::string::npos) << response;
+        EXPECT_EQ(response.find("internal error"), std::string::npos)
+            << response;
+    }
+    // The largest supported budget itself passes the bound (whatever
+    // the optimizer then makes of it).
+    std::string at_bound = dse.handleLine(
+        "dse id=max net=mini layers=conv1:3:16:14:14:3:1 "
+        "budgets=1099511627776");
+    EXPECT_EQ(at_bound.find("largest supported"), std::string::npos)
+        << at_bound;
+    EXPECT_EQ(at_bound.find("internal error"), std::string::npos)
+        << at_bound;
+}
+
 TEST(DseService, CacheStatsVerbReportsDisabledWithoutCacheDir)
 {
     service::DseService dse{service::ServiceOptions{}};
@@ -428,7 +457,7 @@ TEST(DseService, GroupedRequestsMatchColdRunsWarmOrNot)
 TEST(DseService, MidLifeFlushHandsWarmSegmentToANewService)
 {
     // What mclp-serve --cache-flush-interval-ms buys: flushCache() on
-    // a live service publishes the record file and segment, so a
+    // a live service publishes the segment, so a
     // service opened afterwards (a new shard, a second host process)
     // starts mmap-warm without waiting for the first one to exit —
     // and still answers byte-identically.
@@ -481,12 +510,13 @@ TEST(DseService, TimerFlushRacingDrainNeverTearsTheCache)
     // thread and the shutdown flush may both be in flushCache() at
     // once. FrontierCache::flush() makes that safe by construction
     // (state snapshot under its mutex, merge under the advisory file
-    // lock, atomic rename) — this pins it end to end: a service
+    // lock, atomic publish) — this pins it end to end: a service
     // hammered by a 1 ms timer through its whole life, including
     // destruction, leaves a cache a fresh service loads clean and
     // answers from byte-identically, and a second lifetime that
-    // learns nothing new leaves every cache file byte-untouched (no
+    // learns nothing new leaves the directory byte-untouched (no
     // double-flush, no torn segment, no gratuitous generation bump).
+    // The directory holds the segment and its lock file, nothing else.
     char tmpl[] = "/tmp/mclp-flushrace-test-XXXXXX";
     ASSERT_NE(mkdtemp(tmpl), nullptr);
     std::string dir = tmpl;
@@ -509,8 +539,9 @@ TEST(DseService, TimerFlushRacingDrainNeverTearsTheCache)
     }
 
     std::map<std::string, std::string> after_drain = dirBytes(dir);
-    ASSERT_TRUE(after_drain.count("frontier_cache.bin"));
+    ASSERT_EQ(after_drain.size(), 2u);
     ASSERT_TRUE(after_drain.count("frontier_cache.seg"));
+    ASSERT_TRUE(after_drain.count("frontier_cache.lock"));
 
     {
         service::DseService second(options);

@@ -397,8 +397,8 @@ TEST(Front, StatsAggregateAcrossShardsWithBreakdown)
     EXPECT_EQ(cache.rfind("ok cache-stats shards=2 enabled=1", 0), 0u)
         << cache;
     for (const char *key :
-         {"tier_process", "tier_mmap", "tier_disk", "tier_sibling",
-          "tier_cold", "sibling_dirs", "sibling_segments",
+         {"tier_process", "tier_mmap", "tier_sibling", "tier_cold",
+          "sibling_dirs", "sibling_segments",
           "sibling_row_hits", "sibling_trace_hits"})
         EXPECT_GE(statValue(cache, key), 0)
             << "missing " << key << " in: " << cache;
@@ -500,8 +500,7 @@ TEST(Front, KilledWorkerAnswersPendingRespawnsAndStaysWarm)
     // ... and it restarted cache-warm: the row its predecessor
     // flushed came back from a persisted tier, not a rebuild.
     std::string cache = oneShot(front.socket(), "cache-stats");
-    EXPECT_GT(statValue(cache, "rows_loaded") +
-                  statValue(cache, "segment_row_hits") +
+    EXPECT_GT(statValue(cache, "segment_row_hits") +
                   statValue(cache, "sibling_row_hits"),
               0)
         << cache;

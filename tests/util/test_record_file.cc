@@ -1,16 +1,16 @@
 /**
  * @file
- * The record-file layer must be paranoid on the way in and atomic on
- * the way out: payloads round-trip bit-exactly (doubles included),
- * truncation and bit rot are detected record by record, an
- * uncommitted writer never touches the destination, and the advisory
- * lock serializes concurrent writers.
+ * The byte layer under the cache's records must be paranoid on the way
+ * in: payloads round-trip bit-exactly (doubles included) and a short
+ * read latches failure instead of crashing. The advisory lock must
+ * serialize concurrent read-merge-publish cycles.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "util/record_file.h"
+#include "util/shm.h"
 
 namespace mclp {
 namespace {
@@ -83,138 +84,38 @@ TEST(ByteCodec, RoundTripsEveryTypeBitExactly)
     EXPECT_FALSE(in.u8(u8v));
 }
 
-TEST(RecordFile, WritesCommitAtomicallyAndRoundTrip)
-{
-    ScratchDir dir;
-    std::string path = dir.file("data.bin");
-
-    {
-        util::RecordFileWriter writer(path, "header-v1");
-        writer.append("alpha");
-        writer.append(std::string("\0\x01\x02", 3));  // binary-safe
-        // No commit: destination must not exist.
-    }
-    EXPECT_FALSE(fs::exists(path));
-
-    {
-        util::RecordFileWriter writer(path, "header-v1");
-        writer.append("alpha");
-        writer.append(std::string("\0\x01\x02", 3));
-        writer.append("");
-        ASSERT_TRUE(writer.commit());
-    }
-    EXPECT_TRUE(fs::exists(path));
-    EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-    util::RecordFileReader reader(path);
-    ASSERT_TRUE(reader.opened());
-    std::string payload;
-    ASSERT_TRUE(reader.header(payload));
-    EXPECT_EQ(payload, "header-v1");
-    ASSERT_TRUE(reader.next(payload));
-    EXPECT_EQ(payload, "alpha");
-    ASSERT_TRUE(reader.next(payload));
-    EXPECT_EQ(payload, std::string("\0\x01\x02", 3));
-    ASSERT_TRUE(reader.next(payload));
-    EXPECT_EQ(payload, "");
-    EXPECT_FALSE(reader.next(payload));  // clean EOF
-    EXPECT_FALSE(reader.sawCorruption());
-}
-
-TEST(RecordFile, MissingFileAndTruncationAndBitRotAreDetected)
-{
-    ScratchDir dir;
-    util::RecordFileReader missing(dir.file("nope.bin"));
-    EXPECT_FALSE(missing.opened());
-
-    std::string path = dir.file("data.bin");
-    {
-        util::RecordFileWriter writer(path, "hdr");
-        writer.append("record-one");
-        writer.append("record-two");
-        ASSERT_TRUE(writer.commit());
-    }
-    auto full_size = fs::file_size(path);
-
-    // Truncate mid-record: the intact prefix still reads, the rest
-    // reports corruption instead of garbage.
-    fs::resize_file(path, full_size - 5);
-    {
-        util::RecordFileReader reader(path);
-        ASSERT_TRUE(reader.opened());
-        std::string payload;
-        ASSERT_TRUE(reader.header(payload));
-        ASSERT_TRUE(reader.next(payload));
-        EXPECT_EQ(payload, "record-one");
-        EXPECT_FALSE(reader.next(payload));
-        EXPECT_TRUE(reader.sawCorruption());
-    }
-
-    // Flip one payload byte: the checksum catches it.
-    {
-        util::RecordFileWriter writer(path, "hdr");
-        writer.append("record-one");
-        ASSERT_TRUE(writer.commit());
-    }
-    {
-        std::FILE *file = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(file, nullptr);
-        ASSERT_EQ(std::fseek(file, -3, SEEK_END), 0);
-        std::fputc('X', file);
-        std::fclose(file);
-    }
-    {
-        util::RecordFileReader reader(path);
-        std::string payload;
-        ASSERT_TRUE(reader.header(payload));
-        EXPECT_FALSE(reader.next(payload));
-        EXPECT_TRUE(reader.sawCorruption());
-    }
-}
-
 TEST(RecordFile, FileLockSerializesWriters)
 {
     ScratchDir dir;
     std::string lock_path = dir.file("lock");
-    std::string data_path = dir.file("data.bin");
+    std::string data_path = dir.file("data");
 
-    // N threads each rewrite the file with one more record than they
-    // found, under the lock. Serialized correctly, the final file
-    // holds exactly N records; lost updates would leave fewer.
+    // N threads each republish the file with one more line than they
+    // found, under the lock — the read-merge-publish cycle of a cache
+    // flush. Serialized correctly, the final file holds exactly N
+    // lines; lost updates would leave fewer.
     constexpr int kWriters = 8;
+    auto lines = [&] {
+        util::MappedFile map = util::MappedFile::map(data_path);
+        std::string_view text = map.view();
+        return static_cast<size_t>(
+            std::count(text.begin(), text.end(), '\n'));
+    };
     std::vector<std::thread> writers;
     for (int t = 0; t < kWriters; ++t) {
         writers.emplace_back([&] {
             util::FileLock lock(lock_path);
             ASSERT_TRUE(lock.locked());
-            std::vector<std::string> records;
-            {
-                util::RecordFileReader reader(data_path);
-                std::string payload;
-                if (reader.opened() && reader.header(payload)) {
-                    while (reader.next(payload))
-                        records.push_back(payload);
-                }
-            }
-            records.push_back(
-                "record-" + std::to_string(records.size()));
-            util::RecordFileWriter writer(data_path, "hdr");
-            for (const std::string &record : records)
-                writer.append(record);
-            ASSERT_TRUE(writer.commit());
+            util::MappedFile map = util::MappedFile::map(data_path);
+            std::string text(map.view());
+            text += "record-" + std::to_string(lines()) + "\n";
+            ASSERT_TRUE(util::publishFileAtomic(data_path, text));
         });
     }
     for (std::thread &writer : writers)
         writer.join();
 
-    util::RecordFileReader reader(data_path);
-    std::string payload;
-    ASSERT_TRUE(reader.header(payload));
-    size_t count = 0;
-    while (reader.next(payload))
-        ++count;
-    EXPECT_FALSE(reader.sawCorruption());
-    EXPECT_EQ(count, static_cast<size_t>(kWriters));
+    EXPECT_EQ(lines(), static_cast<size_t>(kWriters));
 }
 
 } // namespace

@@ -92,7 +92,7 @@ printUsage()
         "  --threads N          sweep worker threads (0 = all cores;\n"
         "                       default 1; never changes results)\n"
         "  --cache-dir DIR      persistent frontier cache: start the\n"
-        "                       sweep disk-warm from DIR and flush new\n"
+        "                       sweep cache-warm from DIR and flush new\n"
         "                       state on exit (bit-identical designs)\n"
         "  --csv FILE           write the full series to FILE\n"
         "  --compare-cold       also run per-budget cold optimizations,\n"

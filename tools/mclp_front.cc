@@ -28,7 +28,7 @@
  * every line it still owed answers `err id=ID msg=worker-died` (no
  * client ever hangs on a hole in its response order), and the worker
  * is respawned on the same shard cache dir under capped exponential
- * backoff. Nothing is replayed: the shard's segment/disk cache tiers
+ * backoff. Nothing is replayed: the shard's cache segment tiers
  * make the restart warm, and re-sent requests answer byte-identical
  * to a cold run. While a shard is down, lines routed to it answer
  * `err ... msg=worker-died` immediately (shed, never queued). The
@@ -113,10 +113,8 @@ printUsage()
         "worker passthrough (each applies to every worker):\n"
         "  --cache-dir DIR      persistent frontier cache root; worker\n"
         "                       w uses DIR/shard-N, so shards never\n"
-        "                       contend on one record file\n"
-        "  --cache-mmap 0|1     forward mclp-serve's segment-mapping\n"
-        "                       switch (default 1)\n"
-        "  --cache-max-mb N     forward the per-shard record-file byte\n"
+        "                       contend on one cache segment\n"
+        "  --cache-max-mb N     forward the per-shard segment byte\n"
         "                       budget (default 0 = unbounded)\n"
         "  --cache-share 0|1    let sibling workers attach each\n"
         "                       other's published cache segments\n"
@@ -124,7 +122,7 @@ printUsage()
         "                       flushed warm every shard on the host\n"
         "                       (forwarded per worker as its\n"
         "                       siblings' --cache-sibling dirs;\n"
-        "                       needs --cache-dir and --cache-mmap 1)\n"
+        "                       needs --cache-dir)\n"
         "  --cache-flush-interval-ms N\n"
         "                       forward the background flush interval\n"
         "                       so shards publish mid-life and share\n"
@@ -166,7 +164,6 @@ struct Options
     int workers = 2;
     std::string serveBin;
     std::string cacheDir;
-    bool cacheMmap = true;
     int64_t cacheMaxMb = 0;
     bool cacheShare = true;
     int cacheFlushIntervalMs = 0;
@@ -208,8 +205,6 @@ parseArgs(int argc, char **argv)
             opts.serveBin = need_value(i, "--serve-bin");
         } else if (arg == "--cache-dir") {
             opts.cacheDir = need_value(i, "--cache-dir");
-        } else if (arg == "--cache-mmap") {
-            opts.cacheMmap = int_flag(i, "--cache-mmap", 0, 1) != 0;
         } else if (arg == "--cache-max-mb") {
             opts.cacheMaxMb =
                 int_flag(i, "--cache-max-mb", 0, int64_t{1} << 30);
@@ -421,19 +416,14 @@ Front::workerArgs(const Worker &worker) const
     if (!opts_.cacheDir.empty()) {
         args.push_back("--cache-dir");
         args.push_back(shardDir(worker.index));
-        if (!opts_.cacheMmap) {
-            args.push_back("--cache-mmap");
-            args.push_back("0");
-        }
         if (opts_.cacheMaxMb > 0) {
             args.push_back("--cache-max-mb");
             args.push_back(std::to_string(opts_.cacheMaxMb));
         }
         // Segment sharing: each worker attaches every sibling shard's
         // published segment read-only, so a row any shard flushes
-        // warms all K. Needs the mmap tier (the sibling attach IS an
-        // mmap), so --cache-mmap 0 disables it too.
-        if (opts_.cacheShare && opts_.cacheMmap) {
+        // warms all K.
+        if (opts_.cacheShare) {
             for (int sibling = 0; sibling < opts_.workers; ++sibling) {
                 if (static_cast<size_t>(sibling) == worker.index)
                     continue;
@@ -912,7 +902,7 @@ Front::superviseWorkers()
         if (worker.state == Worker::State::Backoff &&
             now >= worker.respawnAtMs) {
             // Respawn on the same shard cache dir: nothing is
-            // replayed — the segment/disk tiers (plus the siblings'
+            // replayed — the shard's own segment (plus the siblings'
             // segments) make the restart warm by themselves.
             if (spawnWorker(worker)) {
                 worker.state = Worker::State::Starting;

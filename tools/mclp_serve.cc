@@ -61,14 +61,10 @@ printUsage()
         "                       oversized requests are rejected up\n"
         "                       front with an err line\n"
         "  --cache-dir DIR      persistent frontier cache: restart\n"
-        "                       disk-warm from DIR, flush new state on\n"
+        "                       cache-warm from DIR, flush new state on\n"
         "                       shutdown (responses never change)\n"
-        "  --cache-mmap 0|1     map the published cache segment\n"
-        "                       read-only and decode rows lazily from\n"
-        "                       it (default 1); 0 = always eager-load\n"
-        "                       the record file\n"
         "  --cache-max-mb N     evict least-recently-hit cache records\n"
-        "                       once the record file would exceed N MiB\n"
+        "                       once the segment would exceed N MiB\n"
         "                       (default 0 = unbounded)\n"
         "  --cache-sibling DIR  attach a sibling shard's published\n"
         "                       cache segment read-only (repeatable;\n"
@@ -179,9 +175,6 @@ parseArgs(int argc, char **argv)
                 int_flag(i, "--idle-timeout-ms", 0, 1 << 30));
         } else if (arg == "--cache-dir") {
             opts.service.cacheDir = need_value(i, "--cache-dir");
-        } else if (arg == "--cache-mmap") {
-            opts.service.cacheMmap =
-                int_flag(i, "--cache-mmap", 0, 1) != 0;
         } else if (arg == "--cache-max-mb") {
             opts.service.cacheMaxBytes =
                 static_cast<size_t>(int_flag(i, "--cache-max-mb", 0,
