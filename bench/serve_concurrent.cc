@@ -113,8 +113,8 @@ main()
 
     service::Server::Options server_opts;
     server_opts.unixPath = socketPath();
-    server_opts.workers = service_opts.threads;
-    service::Server server(service, server_opts);
+    service::LocalBackend local(service, service_opts.threads);
+    service::Server server(local, server_opts);
     if (!server.listening()) {
         std::fprintf(stderr, "serve_concurrent: bind failed\n");
         return 1;

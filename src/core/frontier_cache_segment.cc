@@ -105,8 +105,7 @@ FrontierCacheSegment::open(const std::string &path, uint64_t fingerprint,
     uint64_t checksum = loadU64(base + 56);
     if (file_bytes != map.size())
         return segment;
-    if (util::fnv1aBytes(base + kHeaderBytes,
-                         map.size() - kHeaderBytes) != checksum)
+    if (FrontierCacheSegment::checksum(map.view()) != checksum)
         return segment;
     // Geometry: power-of-two slot table, then the 8-aligned key blob,
     // then one counter pair per slot, then payloads to end of file.
@@ -289,11 +288,16 @@ FrontierCacheSegment::build(uint64_t fingerprint, uint64_t generation,
     storeLe(base + 32, records.size(), 8);
     storeLe(base + 40, key_words, 8);
     storeLe(base + 48, image.size(), 8);
-    storeLe(base + 56,
-            util::fnv1aBytes(base + kHeaderBytes,
-                             image.size() - kHeaderBytes),
-            8);
+    storeLe(base + 56, checksum(image), 8);
     return image;
+}
+
+uint64_t
+FrontierCacheSegment::checksum(std::string_view image)
+{
+    return util::fnv1aBytes(
+        image.data() + kHeaderBytes, image.size() - kHeaderBytes,
+        util::fnv1aBytes(image.data() + 8, kHeaderBytes - 16));
 }
 
 } // namespace core

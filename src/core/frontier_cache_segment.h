@@ -22,10 +22,11 @@
  * maps either the old or the new image, never a torn mix, and a
  * leftover "<path>.tmp" from a killed publish is never read. The
  * header carries a layout version, the model-formula fingerprint and
- * a generation stamp that every publish advances. Every byte after
- * the header is covered by one FNV-1a checksum, checked once at open;
- * all slot offsets are bounds-validated then too, so find() never
- * reads outside the mapping however hostile the file.
+ * a generation stamp that every publish advances. One FNV-1a checksum
+ * (checksum()) covers every header field and every byte after the
+ * header, and is checked once at open; all slot offsets are
+ * bounds-validated then too, so find() never reads outside the
+ * mapping however hostile the file.
  */
 
 #ifndef MCLP_CORE_FRONTIER_CACHE_SEGMENT_H
@@ -45,8 +46,9 @@ namespace core {
 constexpr uint64_t kFrontierSegmentMagic = 0x3130475350434C4DULL;
 
 /** Bump on any change to the segment layout. v2: the per-slot
- * counter block between the key blob and the payloads. */
-constexpr uint32_t kFrontierSegmentVersion = 2;
+ * counter block between the key blob and the payloads. v3: the
+ * checksum covers the header fields too. */
+constexpr uint32_t kFrontierSegmentVersion = 3;
 
 /** Segment file name inside the cache directory. */
 constexpr const char *kFrontierSegmentFileName = "frontier_cache.seg";
@@ -115,6 +117,12 @@ class FrontierCacheSegment
      * bytes in all (what a byte budget is checked against). */
     static size_t imageBytes(size_t records, size_t key_words,
                              size_t payload_bytes);
+
+    /** The checksum stored at byte 56 of @p image (at least a header
+     * long): header bytes 8..55 — version, slot count, fingerprint,
+     * generation, entry count, key words, size — then every byte
+     * after the header. */
+    static uint64_t checksum(std::string_view image);
 
     bool valid() const { return map_.valid(); }
     uint64_t generation() const { return generation_; }

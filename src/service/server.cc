@@ -20,21 +20,21 @@ Server *Server::signalTarget_ = nullptr;
 void
 Server::sigtermHandler(int)
 {
-    // Async-signal-safe by construction: one store to a sig_atomic_t
-    // flag plus one write() down the self-pipe.
+    // Async-signal-safe by construction: one store to a lock-free
+    // atomic flag plus one write() down the self-pipe.
     Server *target = signalTarget_;
     if (target) {
-        target->sigtermSeen_ = 1;
+        target->sigtermSeen_.store(true);
         target->wake_.notify();
     }
 }
 
-Server::Server(DseService &service, Options options)
-    : service_(service), options_(std::move(options))
+Server::Server(Backend &backend, Options options)
+    : backend_(backend), options_(std::move(options))
 {
     if (!wake_.valid()) {
         startError_ = "self-pipe creation failed";
-        util::warn("mclp-serve: %s", startError_.c_str());
+        util::warn("%s: %s", backend_.name(), startError_.c_str());
         return;
     }
     if (!options_.unixPath.empty()) {
@@ -42,7 +42,7 @@ Server::Server(DseService &service, Options options)
         int fd = util::listenUnix(options_.unixPath, &error);
         if (fd < 0) {
             startError_ = error;
-            util::warn("mclp-serve: %s", error.c_str());
+            util::warn("%s: %s", backend_.name(), error.c_str());
             return;
         }
         // Non-blocking listeners: acceptPending() drains until
@@ -56,7 +56,7 @@ Server::Server(DseService &service, Options options)
             static_cast<uint16_t>(options_.tcpPort), &tcpPort_, &error);
         if (fd < 0) {
             startError_ = error;
-            util::warn("mclp-serve: %s", error.c_str());
+            util::warn("%s: %s", backend_.name(), error.c_str());
             return;
         }
         util::setNonBlocking(fd);
@@ -65,15 +65,12 @@ Server::Server(DseService &service, Options options)
     if (!unixListener_.valid() && !tcpListener_.valid()) {
         startError_ = "no listeners configured (need a socket path "
                       "or a TCP port)";
-        util::warn("mclp-serve: %s", startError_.c_str());
-        return;
+        util::warn("%s: %s", backend_.name(), startError_.c_str());
     }
-    service_.attachTransportStats(&stats_);
 }
 
 Server::~Server()
 {
-    service_.attachTransportStats(nullptr);
     if (unixListener_.valid())
         ::unlink(options_.unixPath.c_str());
 }
@@ -94,31 +91,19 @@ Server::acceptingClosed() const
 }
 
 void
-Server::workerLoop()
+Server::complete(const std::shared_ptr<Connection> &conn, uint64_t seq,
+                 std::string response)
 {
-    while (true) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            taskReady_.wait(lock, [this] {
-                return !tasks_.empty() || stopWorkers_;
-            });
-            // Drain before exiting: admitted work always finishes,
-            // even when its connection was hard-closed meanwhile.
-            if (tasks_.empty())
-                return;
-            task = std::move(tasks_.front());
-            tasks_.pop_front();
-        }
-        std::string response = service_.handleLine(task.line);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            task.conn->complete(task.seq, std::move(response));
-            --task.conn->inflight;
-            --globalInflight_;
-        }
-        wake_.notify();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        conn->complete(seq, std::move(response));
+        --conn->inflight;
+        --globalInflight_;
     }
+    // Completions on the poll thread are flushed at the top of the
+    // next round anyway; only other threads need to wake it.
+    if (std::this_thread::get_id() != pollThread_)
+        wake_.notify();
 }
 
 void
@@ -149,6 +134,7 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
         draining_ = true;
         return;
     }
+    uint64_t seq;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         bool shed =
@@ -164,15 +150,12 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
             return;
         }
         stats_.requests.fetch_add(1, std::memory_order_relaxed);
-        Task task;
-        task.conn = conn;
-        task.seq = conn->allocSeq();
-        task.line = std::move(text);
+        seq = conn->allocSeq();
         ++conn->inflight;
         ++globalInflight_;
-        tasks_.push_back(std::move(task));
     }
-    taskReady_.notify_one();
+    // Outside the lock: a backend may complete() before returning.
+    backend_.submit(conn, seq, std::move(text));
 }
 
 void
@@ -184,12 +167,12 @@ Server::acceptPending(int listen_fd)
             if (errno == EINTR)
                 continue;
             if (errno != EAGAIN && errno != EWOULDBLOCK)
-                util::warn("mclp-serve: accept(): %s",
+                util::warn("%s: accept(): %s", backend_.name(),
                            std::strerror(errno));
             return;
         }
         if (!util::setNonBlocking(fd)) {
-            util::warn("mclp-serve: accepted fd: %s",
+            util::warn("%s: accepted fd: %s", backend_.name(),
                        std::strerror(errno));
             ::close(fd);
             continue;
@@ -230,7 +213,8 @@ Server::onReadable(const std::shared_ptr<Connection> &conn)
                 return;
             // A dying client (ECONNRESET et al.) costs only its own
             // connection, never the server.
-            util::warn("mclp-serve: read(): %s", std::strerror(errno));
+            util::warn("%s: read(): %s", backend_.name(),
+                       std::strerror(errno));
             conn->closing = true;
             return;
         }
@@ -258,9 +242,10 @@ Server::pumpOut(const std::shared_ptr<Connection> &conn)
                 continue;
             if (errno == EAGAIN || errno == EWOULDBLOCK)
                 return;
-            util::warn("mclp-serve: client dropped mid-response "
+            util::warn("%s: client dropped mid-response "
                        "(%zu bytes unsent): %s",
-                       conn->writeBacklog(), std::strerror(errno));
+                       backend_.name(), conn->writeBacklog(),
+                       std::strerror(errno));
             conn->closing = true;
             return;
         }
@@ -275,9 +260,9 @@ Server::closeConnection(uint64_t id)
     auto it = conns_.find(id);
     if (it == conns_.end())
         return;
-    // Workers may still hold this connection (shared_ptr); shut the
-    // socket down now so the peer sees the close immediately — the
-    // object (and fd) dies when the last in-flight task completes
+    // The backend may still hold this connection (shared_ptr); shut
+    // the socket down now so the peer sees the close immediately —
+    // the object (and fd) dies when the last in-flight line completes
     // into its orphaned reorder buffer.
     ::shutdown(it->second->fd(), SHUT_RDWR);
     conns_.erase(it);
@@ -314,12 +299,9 @@ Server::sweepAndCheckExit()
 }
 
 int
-Server::pollTimeoutMs() const
+Server::pollTimeoutMs(int64_t backend_deadline) const
 {
-    if (options_.readTimeoutMs <= 0 && options_.idleTimeoutMs <= 0)
-        return -1;
-    int64_t now = util::monotonicMs();
-    int64_t earliest = -1;
+    int64_t earliest = backend_deadline;
     for (const auto &kv : conns_) {
         const std::shared_ptr<Connection> &conn = kv.second;
         if (options_.readTimeoutMs > 0 && conn->lineStartMs() >= 0) {
@@ -337,8 +319,8 @@ Server::pollTimeoutMs() const
     }
     if (earliest < 0)
         return -1;
-    return static_cast<int>(
-        std::max<int64_t>(0, std::min<int64_t>(earliest - now, 60000)));
+    return static_cast<int>(std::max<int64_t>(
+        0, std::min<int64_t>(earliest - util::monotonicMs(), 60000)));
 }
 
 void
@@ -395,19 +377,13 @@ Server::run()
         ::sigaction(SIGTERM, &action, &old_term);
     }
 
-    int worker_count = options_.workers > 0
-                           ? options_.workers
-                           : static_cast<int>(std::max(
-                                 1u, std::thread::hardware_concurrency()));
-    // The poll thread never executes requests: a stuck optimization
-    // can never stall accepts, reads, writes, or timeouts.
-    for (int i = 0; i < worker_count; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    pollThread_ = std::this_thread::get_id();
+    backend_.start(*this);
 
     std::vector<pollfd> pfds;
     std::vector<std::shared_ptr<Connection>> polled;
     while (true) {
-        // Move worker results through each reorder buffer into the
+        // Move completed answers through each reorder buffer into the
         // write queues, then push bytes until the sockets block.
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -422,21 +398,21 @@ Server::run()
 
         pfds.clear();
         polled.clear();
-        size_t fixed = 0;
         pfds.push_back({wake_.readFd(), POLLIN, 0});
-        ++fixed;
         bool accepting = !draining_ && !acceptingClosed();
         int unix_idx = -1, tcp_idx = -1;
         if (accepting && unixListener_.valid()) {
             unix_idx = static_cast<int>(pfds.size());
             pfds.push_back({unixListener_.get(), POLLIN, 0});
-            ++fixed;
         }
         if (accepting && tcpListener_.valid()) {
             tcp_idx = static_cast<int>(pfds.size());
             pfds.push_back({tcpListener_.get(), POLLIN, 0});
-            ++fixed;
         }
+        size_t backend_idx = pfds.size();
+        int64_t backend_deadline = -1;
+        backend_.addPollFds(pfds, backend_deadline);
+        size_t fixed = pfds.size();
         for (const auto &kv : conns_) {
             const std::shared_ptr<Connection> &conn = kv.second;
             short events = 0;
@@ -457,17 +433,19 @@ Server::run()
 
         int ready = ::poll(pfds.data(),
                            static_cast<nfds_t>(pfds.size()),
-                           pollTimeoutMs());
+                           pollTimeoutMs(backend_deadline));
         if (ready < 0 && errno != EINTR) {
-            util::warn("mclp-serve: poll(): %s", std::strerror(errno));
+            util::warn("%s: poll(): %s", backend_.name(),
+                       std::strerror(errno));
             break;
         }
 
         if (pfds[0].revents)
             wake_.drain();
-        if (sigtermSeen_ ||
+        if (sigtermSeen_.load() ||
             drainRequested_.load(std::memory_order_acquire))
             draining_ = true;
+        backend_.onPolled(pfds.data() + backend_idx, fixed - backend_idx);
 
         if (unix_idx >= 0 && (pfds[unix_idx].revents & POLLIN))
             acceptPending(unixListener_.get());
@@ -488,10 +466,75 @@ Server::run()
         enforceDeadlines();
     }
 
-    // Exit epilogue, in drain order: listeners are already effectively
-    // closed (nothing polls them), workers drain the task queue, and
-    // only then is the persistent cache flushed — so a flush never
-    // races an in-flight request's row insertions.
+    // Listeners are already effectively closed (nothing polls them
+    // under drain); remove them before the backend's own shutdown,
+    // which may take a while (cache flush, worker cascade).
+    if (unixListener_.valid()) {
+        unixListener_.reset();
+        ::unlink(options_.unixPath.c_str());
+    }
+    tcpListener_.reset();
+
+    int code = backend_.finish();
+
+    if (options_.handleSigterm) {
+        ::sigaction(SIGTERM, &old_term, nullptr);
+        signalTarget_ = nullptr;
+    }
+    return code;
+}
+
+void
+LocalBackend::start(Server &server)
+{
+    server_ = &server;
+    service_.attachTransportStats(&server.stats());
+    int count = workerCount_ > 0
+                    ? workerCount_
+                    : static_cast<int>(std::max(
+                          1u, std::thread::hardware_concurrency()));
+    for (int i = 0; i < count; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
+}
+
+void
+LocalBackend::submit(const std::shared_ptr<Connection> &conn,
+                     uint64_t seq, std::string line)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        tasks_.push_back(Task{conn, seq, std::move(line)});
+    }
+    taskReady_.notify_one();
+}
+
+void
+LocalBackend::workerLoop()
+{
+    while (true) {
+        Task task;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            taskReady_.wait(lock, [this] {
+                return !tasks_.empty() || stopWorkers_;
+            });
+            // Drain before exiting: admitted work always finishes,
+            // even when its connection was hard-closed meanwhile.
+            if (tasks_.empty())
+                return;
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
+        }
+        server_->complete(task.conn, task.seq,
+                          service_.handleLine(task.line));
+    }
+}
+
+int
+LocalBackend::finish()
+{
+    if (!server_)
+        return 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stopWorkers_ = true;
@@ -500,19 +543,9 @@ Server::run()
     for (std::thread &worker : workers_)
         worker.join();
     workers_.clear();
-
-    if (unixListener_.valid()) {
-        unixListener_.reset();
-        ::unlink(options_.unixPath.c_str());
-    }
-    tcpListener_.reset();
-
     service_.flushCache();
-
-    if (options_.handleSigterm) {
-        ::sigaction(SIGTERM, &old_term, nullptr);
-        signalTarget_ = nullptr;
-    }
+    service_.attachTransportStats(nullptr);
+    server_ = nullptr;
     return 0;
 }
 

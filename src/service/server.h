@@ -1,20 +1,24 @@
 /**
  * @file
- * The event-driven DSE serving loop: one poll()-based thread owning
- * many concurrent Unix and TCP client connections, a small worker
- * crew executing requests, and the policies that keep a long-lived
- * process healthy under hostile or overloaded clients.
+ * The event-driven serving loop: one poll()-based thread owning many
+ * concurrent Unix and TCP client connections, and the policies that
+ * keep a long-lived process healthy under hostile or overloaded
+ * clients. It is the only event loop in the repository. What an
+ * admitted line *means* is a Server::Backend's business, and there are
+ * exactly two: mclp-serve runs the local worker crew (LocalBackend,
+ * below), mclp-front runs the supervised shard trunks
+ * (service/front.h). Both get every guarantee below.
  *
- * What the loop guarantees (tests/service/test_server.cc proves each,
- * and the chaos client + CI fault-injection steps re-prove them
- * against a real process):
+ * What the loop guarantees (tests/service/test_server.cc and
+ * tests/service/test_front.cc prove each, and the chaos client + CI
+ * fault-injection steps re-prove them against real processes):
  *
  *  - **Pipelining.** Request lines are answered as they arrive, not
  *    at connection EOF; a per-connection reorder buffer
  *    (service/connection.h) delivers responses strictly in request
  *    order, so every response is byte-identical to the serial
- *    `mclp-opt --response` answer no matter how the workers
- *    interleaved.
+ *    `mclp-opt --response` answer no matter how the backend
+ *    interleaved them.
  *  - **Isolation.** A slow, dead, or malicious client costs only its
  *    own connection: reads and writes are non-blocking, a client
  *    that stops reading trips write backpressure (the server stops
@@ -31,8 +35,8 @@
  *    reordered answer.
  *  - **Graceful drain.** A `shutdown` line, SIGTERM (opt-in), or
  *    requestDrain() stops accepting, lets every admitted request
- *    finish and flush, closes connections, flushes the persistent
- *    frontier cache, and returns 0.
+ *    finish and flush, closes connections, and hands the exit code
+ *    to the backend's finish().
  *
  * The loop is deliberately poll(2), not epoll: the math answers in
  * milliseconds, so realistic connection counts are tens, not tens of
@@ -43,9 +47,10 @@
 #ifndef MCLP_SERVICE_SERVER_H
 #define MCLP_SERVICE_SERVER_H
 
+#include <poll.h>
+
 #include <atomic>
 #include <condition_variable>
-#include <csignal>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -79,12 +84,6 @@ class Server
          * --accept flag and the one-batch tests use this. */
         int acceptLimit = -1;
 
-        /** Request-execution worker threads (0 = hardware
-         * concurrency). At least one is always spawned: the poll
-         * thread never executes requests, so a stuck optimization
-         * can never stall accepts, reads, or timeouts. */
-        int workers = 1;
-
         /** Request lines longer than this answer
          * `err ... msg=line-too-long` (the rest of the line is
          * discarded; the connection stays usable). */
@@ -101,8 +100,9 @@ class Server
          * `err ... msg=busy`. */
         int maxPipeline = 64;
 
-        /** Global in-flight cap across all connections (queued +
-         * executing); excess sheds with `err ... msg=busy`. */
+        /** Global in-flight cap across all connections (submitted to
+         * the backend, not yet completed); excess sheds with
+         * `err ... msg=busy`. */
         int maxInflight = 256;
 
         /** Close a connection whose *partial* request line is older
@@ -122,12 +122,49 @@ class Server
     };
 
     /**
-     * Binds the listeners immediately (so tcpPort() is valid and
-     * bind failures surface before run()); attaches its transport
-     * counters to @p service so the `stats` verb reports them.
-     * @p service must outlive the server.
+     * What answers admitted lines. The server keeps everything that
+     * touches clients (listeners, framing, blank/comment/overlong/
+     * `shutdown` lines, admission, timeouts, drain); a backend gets
+     * each admitted line with its reorder slot and completes it later.
+     * Every hook runs on the poll thread; only complete() may be
+     * called from elsewhere.
      */
-    Server(DseService &service, Options options);
+    class Backend
+    {
+      public:
+        virtual ~Backend() = default;
+
+        /** Prefix of the server's log lines ("mclp-serve"). */
+        virtual const char *name() const = 0;
+
+        /** run() is about to poll for the first time. */
+        virtual void start(Server &server) = 0;
+
+        /** Answer @p line (trimmed, never blank, a comment or
+         * `shutdown`) by calling Server::complete(conn, seq, ...)
+         * exactly once, now or later, from any thread. */
+        virtual void submit(const std::shared_ptr<Connection> &conn,
+                            uint64_t seq, std::string line) = 0;
+
+        /** Append fds to this round's poll set, and lower
+         * @p deadline_ms (monotonic ms, -1 = none) to wake by then. */
+        virtual void addPollFds(std::vector<pollfd> &, int64_t &) {}
+
+        /** After every poll: the fds addPollFds() appended, with
+         * their revents (also called on timeouts). */
+        virtual void onPolled(const pollfd *, size_t) {}
+
+        /** Every connection has closed: release resources and return
+         * run()'s exit code. */
+        virtual int finish() = 0;
+    };
+
+    /**
+     * Binds the listeners immediately (so tcpPort() is valid and
+     * bind failures surface before run()). @p backend must outlive
+     * the server.
+     */
+    Server(Backend &backend, Options options);
     ~Server();
 
     Server(const Server &) = delete;
@@ -143,26 +180,26 @@ class Server
 
     /**
      * Run the event loop until drained (shutdown verb, SIGTERM,
-     * requestDrain()) or the accept limit is exhausted. Returns 0 on
-     * clean exit (in-flight work finished, cache flushed), 1 when a
-     * listener failed. Call once.
+     * requestDrain()) or the accept limit is exhausted, then return
+     * the backend's finish() code; 1 when a listener failed. Call
+     * once.
      */
     int run();
 
     /** Begin a graceful drain; safe from any thread. */
     void requestDrain();
 
+    /** True once a drain began (poll thread only). */
+    bool draining() const { return draining_; }
+
+    /** Deliver the answer to slot @p seq of @p conn and end that
+     * line's in-flight count; safe from any thread. */
+    void complete(const std::shared_ptr<Connection> &conn, uint64_t seq,
+                  std::string response);
+
     const TransportStats &stats() const { return stats_; }
 
   private:
-    struct Task
-    {
-        std::shared_ptr<Connection> conn;
-        uint64_t seq = 0;
-        std::string line;
-    };
-
-    void workerLoop();
     void acceptPending(int listen_fd);
     void onReadable(const std::shared_ptr<Connection> &conn);
     void handleLine(const std::shared_ptr<Connection> &conn,
@@ -177,11 +214,11 @@ class Server
     /** Close finished/broken connections; returns true when the
      * loop should exit. */
     bool sweepAndCheckExit();
-    int pollTimeoutMs() const;
+    int pollTimeoutMs(int64_t backend_deadline) const;
     void enforceDeadlines();
     bool acceptingClosed() const;
 
-    DseService &service_;
+    Backend &backend_;
     Options options_;
     std::string startError_;
 
@@ -189,29 +226,78 @@ class Server
     util::ScopedFd tcpListener_;
     uint16_t tcpPort_ = 0;
     util::SelfPipe wake_;
+    std::thread::id pollThread_;
 
     std::map<uint64_t, std::shared_ptr<Connection>> conns_;
     uint64_t nextConnId_ = 1;
     uint64_t acceptedTotal_ = 0;
     bool draining_ = false;
     std::atomic<bool> drainRequested_{false};
-    volatile std::sig_atomic_t sigtermSeen_ = 0;
+    /** Set by the SIGTERM handler, which may run on any thread. */
+    std::atomic<bool> sigtermSeen_{false};
 
-    /** Guards tasks_, stopWorkers_, globalInflight_, and every
-     * Connection's reorder buffer + inflight count (the state worker
-     * threads touch). Sockets and read buffers are poll-thread-only
-     * and need no lock. */
+    /** Guards globalInflight_ and every Connection's reorder buffer +
+     * inflight count (the state complete() touches from backend
+     * threads). Sockets and read buffers are poll-thread-only and
+     * need no lock. */
     std::mutex mutex_;
-    std::condition_variable taskReady_;
-    std::deque<Task> tasks_;
     int globalInflight_ = 0;
-    bool stopWorkers_ = false;
-    std::vector<std::thread> workers_;
 
     TransportStats stats_;
 
     static Server *signalTarget_;
     static void sigtermHandler(int);
+};
+
+/**
+ * The local worker crew, mclp-serve's backend: admitted lines queue
+ * for a crew of threads that answer them through the DseService, whose
+ * `stats` verb reports the server's transport counters while the crew
+ * runs. The poll thread never executes requests, so a stuck
+ * optimization can never stall accepts, reads, writes, or timeouts.
+ * finish() lets the crew drain the queue, joins it, and only then
+ * flushes the persistent frontier cache, so a flush never races an
+ * in-flight request's row insertions.
+ */
+class LocalBackend : public Server::Backend
+{
+  public:
+    /** @p workers request threads (0 = hardware concurrency; at least
+     * one is always spawned). @p service must outlive the backend. */
+    explicit LocalBackend(DseService &service, int workers = 1)
+        : service_(service), workerCount_(workers)
+    {
+    }
+    ~LocalBackend() override { finish(); }
+
+    LocalBackend(const LocalBackend &) = delete;
+    LocalBackend &operator=(const LocalBackend &) = delete;
+
+    const char *name() const override { return "mclp-serve"; }
+    void start(Server &server) override;
+    void submit(const std::shared_ptr<Connection> &conn, uint64_t seq,
+                std::string line) override;
+    int finish() override;
+
+  private:
+    struct Task
+    {
+        std::shared_ptr<Connection> conn;
+        uint64_t seq = 0;
+        std::string line;
+    };
+
+    void workerLoop();
+
+    DseService &service_;
+    int workerCount_;
+    Server *server_ = nullptr;
+
+    std::mutex mutex_;  ///< guards tasks_ and stopWorkers_
+    std::condition_variable taskReady_;
+    std::deque<Task> tasks_;
+    bool stopWorkers_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace service

@@ -11,10 +11,9 @@ namespace mclp {
 namespace util {
 
 uint64_t
-fnv1aBytes(const void *data, size_t count)
+fnv1aBytes(const void *data, size_t count, uint64_t hash)
 {
     const unsigned char *bytes = static_cast<const unsigned char *>(data);
-    uint64_t hash = 1469598103934665603ULL;
     size_t i = 0;
     for (; i + 8 <= count; i += 8) {
         uint64_t word;

@@ -28,8 +28,11 @@ namespace util {
  * byte-wise tail), so checking a multi-megabyte cache file costs
  * milliseconds, not tens of them. Not the canonical byte-wise FNV —
  * this is an internal integrity checksum, not an interchange hash.
+ * Passing a previous result as @p hash continues it over another
+ * range, so one checksum can cover disjoint ranges.
  */
-uint64_t fnv1aBytes(const void *data, size_t count);
+uint64_t fnv1aBytes(const void *data, size_t count,
+                    uint64_t hash = 1469598103934665603ULL);
 
 /**
  * ZigZag mapping for signed deltas: small magnitudes of either sign

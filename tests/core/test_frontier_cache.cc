@@ -212,7 +212,8 @@ TEST(FrontierCache, CorruptPayloadByteFallsBackToColdBuild)
 }
 
 /** Publish a one-record segment whose header says @p magic,
- * @p version and @p fingerprint (the body checksum stays valid). */
+ * @p version and @p fingerprint (the checksum is resealed, so the
+ * header is the image's only defect). */
 void
 writeSegmentWithHeader(const std::string &path, uint64_t magic,
                        uint32_t version, uint64_t fingerprint)
@@ -225,7 +226,44 @@ writeSegmentWithHeader(const std::string &path, uint64_t magic,
         image[i] = static_cast<char>(magic >> (8 * i));
     for (size_t i = 0; i < 4; ++i)
         image[8 + i] = static_cast<char>(version >> (8 * i));
+    uint64_t sum = core::FrontierCacheSegment::checksum(image);
+    for (size_t i = 0; i < 8; ++i)
+        image[56 + i] = static_cast<char>(sum >> (8 * i));
     ASSERT_TRUE(util::publishFileAtomic(path, image));
+}
+
+TEST(FrontierCache, FlippedGenerationBitStartsColdAndUnclean)
+{
+    // The generation stamp is under the checksum: one flipped bit
+    // refuses the whole image (an unclean cold start, reported as
+    // clean=0), and the answers still match cold runs byte for byte.
+    ScratchDir scratch;
+    std::string cold = populate(scratch);
+    {
+        std::FILE *file =
+            std::fopen(scratch.segmentFile().c_str(), "r+b");
+        ASSERT_NE(file, nullptr);
+        ASSERT_EQ(std::fseek(file, 24, SEEK_SET), 0);
+        int byte = std::fgetc(file);
+        ASSERT_EQ(std::fseek(file, 24, SEEK_SET), 0);
+        std::fputc(byte ^ 0x01, file);
+        std::fclose(file);
+    }
+    core::SegmentOpen status = core::SegmentOpen::Mapped;
+    EXPECT_FALSE(core::FrontierCacheSegment::open(
+                     scratch.segmentFile(),
+                     core::modelFormulaFingerprint(), &status)
+                     .valid());
+    EXPECT_EQ(status, core::SegmentOpen::Damaged);
+
+    service::ServiceOptions options;
+    options.cacheDir = scratch.dir();
+    service::DseService service(options);
+    std::string stats = service.handleLine("cache-stats");
+    EXPECT_NE(stats.find(" clean=0"), std::string::npos) << stats;
+    EXPECT_EQ(service.handleLine(
+                  "dse id=p net=alexnet device=690t budgets=500,1500"),
+              cold);
 }
 
 TEST(FrontierCache, WrongVersionOrFingerprintIsIgnoredWholesale)

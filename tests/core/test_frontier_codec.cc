@@ -417,10 +417,11 @@ TEST(FrontierCacheSegment, HostileImagesNeverEscapeTheMapping)
     // from a valid image of rows and traces, corrupt the fields that
     // steer reads (slot key/payload offsets and lengths, key-word
     // counts, counter words, the entry and slot counts), then re-seal
-    // the body checksum so every mutation gets past it. Each round,
-    // open() either refuses the image, or every view it serves lies
-    // inside the mapping and every payload either fails to decode or
-    // decodes to a staircase / walk that keeps its invariants.
+    // the checksum, which covers the header fields too, so every
+    // mutation gets past it. Each round, open() either refuses the
+    // image, or every view it serves lies inside the mapping and every
+    // payload either fails to decode or decodes to a staircase / walk
+    // that keeps its invariants.
     util::SplitMix64 rng(20170707);
     std::vector<std::vector<int64_t>> keys;
     std::vector<std::string> payloads;
@@ -513,9 +514,7 @@ TEST(FrontierCacheSegment, HostileImagesNeverEscapeTheMapping)
                 break;
             }
         }
-        pokeLe(image, 56,
-               util::fnv1aBytes(image.data() + 64, image.size() - 64),
-               8);
+        pokeLe(image, 56, core::FrontierCacheSegment::checksum(image), 8);
         {
             std::FILE *file =
                 std::fopen(scratch.path.string().c_str(), "wb");

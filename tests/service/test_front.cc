@@ -22,7 +22,11 @@
  *    shard's requests from the mmap tier (tier_sibling > 0);
  *  - SIGTERM drains the cascade and the front exits 0 — including
  *    after an earlier kill + respawn;
- *  - the TCP listener answers byte-identical to the Unix socket.
+ *  - the TCP listener answers byte-identical to the Unix socket;
+ *  - the front applies the server's protections: in-process tests
+ *    run service::Server over the shard backend (src/service/front.h)
+ *    and real mclp-serve workers, and prove the slow-loris read
+ *    timeout and the busy shedding of the in-flight cap.
  */
 
 #include <gtest/gtest.h>
@@ -37,11 +41,14 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dse_request.h"
 #include "service/dse_codec.h"
 #include "service/dse_service.h"
+#include "service/front.h"
+#include "service/server.h"
 #include "util/net.h"
 #include "util/record_file.h"
 #include "util/string_utils.h"
@@ -218,8 +225,9 @@ class FrontProcess
         }
 
         int err_pipe[2] = {-1, -1};
-        if (config_.tcpPort >= 0)
+        if (config_.tcpPort >= 0) {
             EXPECT_EQ(::pipe(err_pipe), 0);
+        }
         pid_ = ::fork();
         ASSERT_GE(pid_, 0);
         if (pid_ == 0) {
@@ -282,9 +290,10 @@ class FrontProcess
             EXPECT_EQ(got, pid_);
             if (config_.expectCleanExit) {
                 EXPECT_TRUE(WIFEXITED(status));
-                if (WIFEXITED(status))
+                if (WIFEXITED(status)) {
                     EXPECT_EQ(WEXITSTATUS(status), 0)
                         << "drain cascade was not clean";
+                }
             }
         }
         std::filesystem::remove(socketPath_);
@@ -354,7 +363,7 @@ TEST(Front, PipelinedAnswersKeepRequestOrderAcrossShards)
     std::vector<std::string> requests;
     for (int copies = 1; copies <= 6; ++copies)
         requests.push_back(
-            layeredRequest("p" + std::to_string(copies), copies));
+            layeredRequest(util::strprintf("p%d", copies), copies));
     bool shard0 = false, shard1 = false;
     for (const std::string &req : requests) {
         (shardFor(req, 2) == 0 ? shard0 : shard1) = true;
@@ -518,7 +527,7 @@ TEST(Front, SiblingSegmentsServeRowsAcrossShards)
     std::string first, second;
     for (int copies = 1; copies <= 8 && second.empty(); ++copies) {
         std::string req =
-            layeredRequest("s" + std::to_string(copies), copies);
+            layeredRequest(util::strprintf("s%d", copies), copies);
         if (first.empty()) {
             first = req;
         } else if (shardFor(req, 2) != shardFor(first, 2)) {
@@ -565,7 +574,7 @@ TEST(Front, TcpListenerAnswersIdenticallyToUnixSocket)
     // Pipelined conversation over TCP: same ordering, same bytes.
     for (int copies = 1; copies <= 3; ++copies) {
         std::string req =
-            layeredRequest("t" + std::to_string(copies), copies);
+            layeredRequest(util::strprintf("t%d", copies), copies);
         ASSERT_TRUE(sendLine(fd.get(), req));
         std::string reply;
         ASSERT_TRUE(readLine(fd.get(), &reply));
@@ -596,6 +605,130 @@ TEST(Front, ShutdownVerbDrainsTheCascade)
     // Workers are gone too: their sockets no longer accept.
     EXPECT_LT(util::connectUnix(front.workerSocket(0)), 0);
     front.markExited();
+}
+
+/**
+ * mclp-front in this process: a Server over the shard backend, run on
+ * a poll thread of its own, over real mclp-serve workers. Stopping it
+ * drains the server and asserts the worker cascade exits clean.
+ */
+class InProcessFront
+{
+  public:
+    InProcessFront(const char *tag, service::Server::Options options)
+        : socket_(socketPath(tag)), shards_(shardOptions(socket_)),
+          server_(shards_, withUnixPath(std::move(options), socket_))
+    {
+    }
+
+    bool start()
+    {
+        if (!shards_.ok() || !server_.listening())
+            return false;
+        loop_ = std::thread([this] { code_ = server_.run(); });
+        return true;
+    }
+
+    /** Drain, join the poll thread, return run()'s exit code. */
+    int stop()
+    {
+        server_.requestDrain();
+        loop_.join();
+        return code_;
+    }
+
+    const std::string &socket() const { return socket_; }
+    const service::Server &server() const { return server_; }
+
+  private:
+    static service::ShardBackend::Options
+    shardOptions(const std::string &socket)
+    {
+        service::ShardBackend::Options options;
+        options.socketPath = socket;
+        options.serveBin =
+            std::string(MCLP_TEST_BINARY_DIR) + "/mclp-serve";
+        return options;
+    }
+
+    static service::Server::Options
+    withUnixPath(service::Server::Options options,
+                 const std::string &socket)
+    {
+        options.unixPath = socket;
+        return options;
+    }
+
+    std::string socket_;
+    service::ShardBackend shards_;
+    service::Server server_;
+    std::thread loop_;
+    int code_ = -1;
+};
+
+TEST(Front, InProcessSlowLorisIsDroppedWhileAGoodClientIsAnswered)
+{
+    service::Server::Options options;
+    options.readTimeoutMs = 200;
+    InProcessFront front("ploris", options);
+    ASSERT_TRUE(front.start());
+
+    // The attacker drips a never-finished line; the deadline anchors
+    // at its first byte, so the drip cannot keep itself alive.
+    util::ScopedFd loris(util::connectUnix(front.socket()));
+    ASSERT_TRUE(loris.valid());
+    std::thread drip([&] {
+        for (int i = 0; i < 100; ++i) {
+            if (::send(loris.get(), "d", 1, MSG_NOSIGNAL) != 1)
+                return;  // the front already dropped us
+            ::usleep(20 * 1000);
+        }
+    });
+
+    // A good client on the same front is answered meanwhile.
+    std::string req = layeredRequest("good", 2);
+    EXPECT_EQ(oneShot(front.socket(), req), coldReference(req));
+
+    // The attacker reads EOF well before its drip would have ended.
+    std::string leftovers;
+    EXPECT_TRUE(util::readAll(loris.get(), &leftovers));
+    EXPECT_TRUE(leftovers.empty());
+    drip.join();
+    loris.reset();
+    EXPECT_EQ(front.stop(), 0);
+    EXPECT_GE(front.server().stats().timeouts.load(), 1u);
+}
+
+TEST(Front, InProcessFloodShedsBusyInRequestOrder)
+{
+    service::Server::Options options;
+    options.maxInflight = 1;
+    InProcessFront front("pflood", options);
+    ASSERT_TRUE(front.start());
+
+    // One write carries a request plus a flood behind it. The front
+    // parses the whole burst before the worker can answer, so with
+    // one line allowed in flight every flood line sheds, in order.
+    std::string admitted = layeredRequest("a", 3);
+    std::string batch = admitted + "\n";
+    for (int i = 0; i < 6; ++i)
+        batch += util::strprintf("dse id=f%d net=alexnet budgets=500\n",
+                                 i);
+    util::ScopedFd fd(util::connectUnix(front.socket()));
+    ASSERT_TRUE(fd.valid());
+    ASSERT_TRUE(util::writeAll(fd.get(), batch.data(), batch.size()));
+    ::shutdown(fd.get(), SHUT_WR);
+    std::string reply;
+    ASSERT_TRUE(readLine(fd.get(), &reply));
+    EXPECT_EQ(reply, coldReference(admitted));
+    for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(readLine(fd.get(), &reply));
+        EXPECT_EQ(reply, util::strprintf("err id=f%d msg=busy", i));
+    }
+    EXPECT_FALSE(readLine(fd.get(), &reply));
+    fd.reset();
+    EXPECT_EQ(front.stop(), 0);
+    EXPECT_EQ(front.server().stats().shedBusy.load(), 6u);
 }
 
 } // namespace

@@ -100,7 +100,8 @@ TEST(Server, PipelinedAnswersArriveBeforeConnectionEof)
     service::Server::Options options;
     options.unixPath = socketPath("pipe");
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -129,8 +130,8 @@ TEST(Server, ConcurrentInterleavedClientsMatchSerialAnswers)
     service::Server::Options options;
     options.unixPath = socketPath("concurrent");
     options.acceptLimit = 4;
-    options.workers = 4;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse, 4);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -177,9 +178,9 @@ TEST(Server, FloodPastAdmissionLimitShedsErrBusyInOrder)
     service::Server::Options options;
     options.unixPath = socketPath("flood");
     options.acceptLimit = 1;
-    options.workers = 1;
     options.maxInflight = 1;  // one admitted request at a time
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -216,7 +217,8 @@ TEST(Server, OverlongLineAnswersErrAndConnectionStaysUsable)
     options.unixPath = socketPath("overlong");
     options.acceptLimit = 1;
     options.maxLineBytes = 256;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -244,7 +246,8 @@ TEST(Server, TornLineAtCloseIsStillAnswered)
     service::Server::Options options;
     options.unixPath = socketPath("torn");
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -265,7 +268,8 @@ TEST(Server, SlowLorisTripsReadTimeoutWithoutHurtingOthers)
     options.unixPath = socketPath("loris");
     options.acceptLimit = 2;
     options.readTimeoutMs = 80;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -307,7 +311,8 @@ TEST(Server, IdleConnectionsAreReapedByTheIdleTimeout)
     options.unixPath = socketPath("idle");
     options.acceptLimit = 1;
     options.idleTimeoutMs = 50;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -327,7 +332,8 @@ TEST(Server, DrainWhileInFlightFinishesWorkThenExitsZero)
     service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("drain");
-    service::Server server(dse, options);  // no accept limit
+    service::LocalBackend local(dse);
+    service::Server server(local, options);  // no accept limit
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -355,7 +361,8 @@ TEST(Server, RequestDrainStopsAnAcceptUnlimitedServer)
     service::DseService dse{service::ServiceOptions{}};
     service::Server::Options options;
     options.unixPath = socketPath("reqdrain");
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
     server.requestDrain();
@@ -368,7 +375,8 @@ TEST(Server, TcpLoopbackServesWithByteParity)
     service::Server::Options options;
     options.tcpPort = 0;  // ephemeral
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     ASSERT_GT(server.tcpPort(), 0);
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
@@ -394,7 +402,8 @@ TEST(Server, StatsVerbReportsTransportCountersWhileAttached)
     service::Server::Options options;
     options.unixPath = socketPath("stats");
     options.acceptLimit = 1;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 
@@ -426,7 +435,8 @@ TEST(Server, MidResponseDisconnectCostsOnlyThatConnection)
     service::Server::Options options;
     options.unixPath = socketPath("vanish");
     options.acceptLimit = 2;
-    service::Server server(dse, options);
+    service::LocalBackend local(dse);
+    service::Server server(local, options);
     ASSERT_TRUE(server.listening());
     std::thread run([&] { EXPECT_EQ(server.run(), 0); });
 

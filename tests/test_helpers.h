@@ -15,6 +15,7 @@
 #include "nn/conv_layer.h"
 #include "nn/network.h"
 #include "util/math.h"
+#include "util/string_utils.h"
 
 namespace mclp {
 namespace test {
@@ -48,7 +49,7 @@ randomMixedLayers(util::SplitMix64 &rng, int count)
         int64_t k = std::vector<int64_t>{1, 3, 5}[static_cast<size_t>(
             rng.nextInt(0, 2))];
         int64_t r = rng.nextInt(3, 14);
-        std::string name = "L" + std::to_string(i);
+        std::string name = util::strprintf("L%d", i);
         switch (rng.nextInt(0, 5)) {
         case 0: {
             int64_t g = rng.nextInt(2, 4);

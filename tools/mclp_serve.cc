@@ -217,14 +217,14 @@ main(int argc, char **argv)
                 server_opts.unixPath = *opts->socketPath;
             server_opts.tcpPort = opts->tcpPort;
             server_opts.acceptLimit = opts->accept;
-            server_opts.workers = opts->service.threads;
             server_opts.maxLineBytes = opts->service.maxLineBytes;
             server_opts.maxPipeline = opts->maxPipeline;
             server_opts.maxInflight = opts->maxInflight;
             server_opts.readTimeoutMs = opts->readTimeoutMs;
             server_opts.idleTimeoutMs = opts->idleTimeoutMs;
             server_opts.handleSigterm = true;
-            service::Server server(service, server_opts);
+            service::LocalBackend local(service, opts->service.threads);
+            service::Server server(local, server_opts);
             if (!server.listening())
                 return 1;
             if (opts->tcpPort >= 0) {
